@@ -1,0 +1,197 @@
+"""Byte-exact CLI output against the committed corpus in ``tests/golden/``.
+
+Each case runs ``cli.main`` in-process from inside ``tests/golden/`` (so the
+``glue`` matrix paths, which the output echoes, stay relative) and compares
+the exit code and the stdout bytes with ``<name>.out``; usage errors also
+compare stderr with ``<name>.err``.  ``COLUMNS`` is pinned because argparse
+wraps its usage text to the terminal width.
+
+The files record the output as it was before any refactor of the library;
+a change that alters one of them changes the CLI's observable behaviour.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from nodalmoduli.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, exit code, extra environment)
+CASES = {
+    "feasible": (["feasible", "--r", "2", "--k", "1", "--chi1", "2", "--chi2", "3"], 0, {}),
+    "feasible_chi_zero": (
+        ["feasible", "--r", "3", "--k", "2", "--chi1", "1", "--chi2", "2"], 0, {}
+    ),
+    "feasible_negative_chi": (
+        ["feasible", "--r", "3", "--k", "2", "--chi1", "-1", "--chi2", "-2"], 0, {}
+    ),
+    "feasible_infeasible": (
+        ["feasible", "--r", "2", "--k", "1", "--chi1", "2", "--chi2", "1"], 0, {}
+    ),
+    "feasible_k_out_of_range": (
+        ["feasible", "--r", "2", "--k", "5", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "feasible_rank_too_small": (
+        ["feasible", "--r", "1", "--k", "1", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "region_json": (
+        ["region", "--r", "3", "--k", "2", "--chi1=-2:3", "--chi2=0:4"], 0, {}
+    ),
+    "region_csv": (
+        ["region", "--r", "2", "--k", "1", "--chi1=-5:5", "--chi2=-5:5",
+         "--format", "csv"],
+        0,
+        {},
+    ),
+    "region_empty_json": (
+        ["region", "--r", "2", "--k", "1", "--chi1", "3:1", "--chi2", "0:1"], 0, {}
+    ),
+    "region_cap": (
+        ["region", "--r", "2", "--k", "1", "--chi1", "0:10", "--chi2", "0:10"],
+        1,
+        {"NODAL_MODULI_MAX_CELLS": "10"},
+    ),
+    "region_k_out_of_range": (
+        ["region", "--r", "2", "--k", "0", "--chi1", "0:1", "--chi2", "0:1"], 1, {}
+    ),
+    "region_malformed_range": (
+        ["region", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "0:1"], 2, {}
+    ),
+    "components_json": (
+        ["components", "--g1", "2", "--g2", "3", "--r", "3", "--chi", "5",
+         "--w1", "2/7"],
+        0,
+        {},
+    ),
+    "components_csv": (
+        ["components", "--g1", "2", "--g2", "3", "--r", "3", "--chi", "5",
+         "--w1", "2/7", "--format", "csv"],
+        0,
+        {},
+    ),
+    "components_non_generic": (
+        ["components", "--g1", "1", "--g2", "1", "--r", "2", "--chi", "0",
+         "--w1", "1/2"],
+        0,
+        {},
+    ),
+    "components_non_generic_csv": (
+        ["components", "--g1", "1", "--g2", "1", "--r", "2", "--chi", "0",
+         "--w1", "1/2", "--format", "csv"],
+        0,
+        {},
+    ),
+    "components_rank_too_small": (
+        ["components", "--g1", "2", "--g2", "2", "--r", "1", "--chi", "1",
+         "--w1", "1/2"],
+        1,
+        {},
+    ),
+    "components_genus_zero": (
+        ["components", "--g1", "0", "--g2", "2", "--r", "2", "--chi", "1",
+         "--w1", "1/2"],
+        1,
+        {},
+    ),
+    "components_decimal_weight": (
+        ["components", "--g1", "2", "--g2", "2", "--r", "2", "--chi", "1",
+         "--w1", "0.5"],
+        2,
+        {},
+    ),
+    "glue_identity": (
+        ["glue", "--matrix", "identity.json", "--chi1", "1", "--chi2", "1"], 0, {}
+    ),
+    "glue_degenerate": (
+        ["glue", "--matrix", "degenerate.json", "--chi1", "3", "--chi2", "1"], 0, {}
+    ),
+    "glue_zero_matrix": (
+        ["glue", "--matrix", "zero.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_rank_one_matrix": (
+        ["glue", "--matrix", "one_by_one.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_missing_file": (
+        ["glue", "--matrix", "missing.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "check_sufficiency_default_weight": (
+        ["check-sufficiency", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "2",
+         "--g1", "2", "--g2", "2"],
+        0,
+        {},
+    ),
+    "check_sufficiency_strict": (
+        ["check-sufficiency", "--r", "3", "--k", "2", "--chi1", "2", "--chi2", "4",
+         "--g1", "5", "--g2", "5", "--w1", "1/2", "--strict"],
+        0,
+        {},
+    ),
+    "check_sufficiency_incompatible_weight": (
+        ["check-sufficiency", "--r", "2", "--k", "1", "--chi1", "2", "--chi2", "3",
+         "--g1", "2", "--g2", "2", "--w1", "1/5"],
+        1,
+        {},
+    ),
+    "check_sufficiency_infeasible": (
+        ["check-sufficiency", "--r", "2", "--k", "1", "--chi1", "2", "--chi2", "1",
+         "--g1", "2", "--g2", "2"],
+        1,
+        {},
+    ),
+    "check_sufficiency_genus_before_rank": (
+        ["check-sufficiency", "--r", "1", "--k", "3", "--chi1", "0", "--chi2", "0",
+         "--g1", "0", "--g2", "2"],
+        1,
+        {},
+    ),
+    "check_sufficiency_rank_too_small": (
+        ["check-sufficiency", "--r", "1", "--k", "1", "--chi1", "0", "--chi2", "0",
+         "--g1", "2", "--g2", "2"],
+        1,
+        {},
+    ),
+    "check_sufficiency_k_out_of_range": (
+        ["check-sufficiency", "--r", "2", "--k", "3", "--chi1", "0", "--chi2", "0",
+         "--g1", "2", "--g2", "2"],
+        1,
+        {},
+    ),
+    "dims": (["dims", "--g1", "2", "--g2", "3", "--r", "4"], 0, {}),
+    "dims_genus_one": (["dims", "--g1", "1", "--g2", "1", "--r", "2"], 0, {}),
+    "dims_genus_zero": (["dims", "--g1", "2", "--g2", "0", "--r", "2"], 1, {}),
+    "mk_test": (
+        ["mk-test", "--sub-d", "1", "--sub-rk", "1", "--amb-d", "3", "--amb-rk", "2",
+         "--m", "0", "--k", "1"],
+        0,
+        {},
+    ),
+    "mk_test_strict": (
+        ["mk-test", "--sub-d", "1", "--sub-rk", "1", "--amb-d", "3", "--amb-rk", "2",
+         "--m", "0", "--k", "1", "--strict"],
+        0,
+        {},
+    ),
+}
+
+
+def run_case(name, capsys, monkeypatch):
+    argv, _, env = CASES[name]
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("NODAL_MODULI_MAX_CELLS", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out.encode("utf-8"), captured.err.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys, monkeypatch):
+    code, out, err = run_case(name, capsys, monkeypatch)
+    assert code == CASES[name][1]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    if code == 2:
+        assert err == (GOLDEN / f"{name}.err").read_bytes()
