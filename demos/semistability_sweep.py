@@ -42,11 +42,3 @@ try:
     check_sufficiency(h, bad)
 except NecessaryConditionError as err:
     print(f"  w1 = 9/10 rejected: {err}")
-
-print("\nThe degree-window slow mode agrees with the extremal reduction:")
-h = StabilityHypotheses(R, K, 2, 4, GENUS, GENUS)
-w = feasible_interval(R, K, 2, 4).sample
-fast = check_sufficiency(h, w)
-slow = check_sufficiency(h, w, degree_window=4)
-print(f"  extremal only: {fast}")
-print(f"  window of 5 degrees per side: {slow}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .curves import NodalCurve, Polarization
@@ -247,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--chi1", type=int, required=True)
     p.add_argument("--chi2", type=int, required=True)
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(handler=_cmd_feasible)
 
     p = sub.add_parser("region", help="feasibility over a lattice box of (chi1, chi2)")
@@ -256,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi1", type=int_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--chi2", type=int_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--format", choices=("csv", "json"), default="json")
+    # Let "--chi1 -5:5" parse: argparse treats only plain negative numbers as values.
+    p._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("components", help="moduli components for (g1, g2, r, chi, w)")

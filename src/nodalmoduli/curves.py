@@ -97,10 +97,7 @@ class SheafClass:
 
 def polarized_slope(e: SheafClass, w: Polarization) -> Fraction:
     """Weighted slope chi / (w1 r1 + w2 r2) of a depth-one sheaf class."""
-    weighted_rank = w.w1 * e.r1 + w.w2 * e.r2
-    if weighted_rank == 0:
-        raise ValueError("weighted rank vanishes")  # unreachable for valid inputs
-    return Fraction(e.chi) / weighted_rank
+    return Fraction(e.chi) / (w.w1 * e.r1 + w.w2 * e.r2)
 
 
 def chi_to_degree(chi_i: int, r_i: int, g_i: int) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import Polarization
-from .gluing import GluingDatum
+from .gluing import GluingDatum, validate_ranks
 from .rationals import RationalInterval
 
 _OPEN_UNIT = RationalInterval(Fraction(0), Fraction(1), True, True)
@@ -51,17 +51,18 @@ class FeasibilityReport:
 
 
 def violated_conditions(u: GluingDatum, w: Polarization) -> list[str]:
-    """Names of the compatibility inequalities that w fails, in system order."""
-    chi = u.chi
-    lhs1 = chi * w.w1
-    lhs2 = chi * w.w2
-    checks = [
-        ("chi*w1 <= chi1", lhs1 <= u.chi1),
-        ("chi1 <= chi*w1 + k", u.chi1 <= lhs1 + u.k),
-        ("chi*w2 + r - k <= chi2", lhs2 + u.r - u.k <= u.chi2),
-        ("chi2 <= chi*w2 + r", u.chi2 <= lhs2 + u.r),
-    ]
-    return [name for name, ok in checks if not ok]
+    """Names of the compatibility inequalities that w fails, in system order.
+
+    With chi2 = chi + r - chi1 and w2 = 1 - w1, the fourth inequality is the
+    first rearranged and the third is the second, so the names fail in pairs;
+    as k >= 1, the first two cannot both fail.
+    """
+    lhs = u.chi * w.w1
+    if lhs > u.chi1:
+        return ["chi*w1 <= chi1", "chi2 <= chi*w2 + r"]
+    if u.chi1 > lhs + u.k:
+        return ["chi1 <= chi*w1 + k", "chi*w2 + r - k <= chi2"]
+    return []
 
 
 def necessary_conditions(u: GluingDatum, w: Polarization) -> bool:
@@ -77,10 +78,7 @@ def feasible_interval(r: int, k: int, chi1: int, chi2: int) -> FeasibilityReport
     dictates), or all weights when chi = 0 and 0 <= chi1 <= k; the report
     stores its intersection with the open unit interval.
     """
-    if r < 2:
-        raise ValueError(f"gluing rank must be >= 2, got {r}")
-    if not 1 <= k <= r:
-        raise ValueError(f"fiber-map rank must satisfy 1 <= k <= r, got k={k}, r={r}")
+    validate_ranks(r, k)
     chi = chi1 + chi2 - r
     if chi == 0:
         interval = _OPEN_UNIT if 0 <= chi1 <= k else RationalInterval.empty()
@@ -104,22 +102,9 @@ def feasible_interval_all_k(r: int, chi1: int, chi2: int) -> FeasibilityReport:
     """Polarizations compatible with every fiber-map rank k = 1..r at once.
 
     The k = 1 constraints are the strongest, so the intersection over k
-    equals the k = 1 interval; it is computed by explicit intersection
-    anyway, and the sample drawn from it works simultaneously for all k.
+    equals the k = 1 interval, and its sample works simultaneously for all k.
     """
-    if r < 2:
-        raise ValueError(f"gluing rank must be >= 2, got {r}")
-    interval = RationalInterval()  # the whole line; each factor is already in (0,1)
-    for k in range(1, r + 1):
-        interval = interval.intersect(feasible_interval(r, k, chi1, chi2).w1_interval)
-    w1 = interval.sample()
-    sample = None if w1 is None else Polarization(w1, 1 - w1)
-    return FeasibilityReport(
-        feasible=not interval.is_empty,
-        w1_interval=interval,
-        sample=sample,
-        chi=chi1 + chi2 - r,
-    )
+    return feasible_interval(r, 1, chi1, chi2)
 
 
 def in_region_all_k(r: int, chi1: int, chi2: int) -> bool:

@@ -47,8 +47,7 @@ class GluingDatum:
     sigma: Matrix | None = None
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"gluing rank must be >= 2, got {self.r}")
+        validate_ranks(self.r)
         if self.sigma is not None:
             sigma = tuple(tuple(Fraction(x) for x in row) for row in self.sigma)
             if len(sigma) != self.r or any(len(row) != self.r for row in sigma):
@@ -61,14 +60,20 @@ class GluingDatum:
                 raise ValueError(f"declared k={self.k} but sigma has rank {rank}")
         if self.k is None:
             raise ValueError("either k or an explicit sigma matrix is required")
-        if not 1 <= self.k <= self.r:
-            raise ValueError(
-                f"fiber-map rank must satisfy 1 <= k <= r, got k={self.k}, r={self.r}"
-            )
+        validate_ranks(self.r, self.k)
 
     @property
     def chi(self) -> int:
         return self.chi1 + self.chi2 - self.r
+
+
+def validate_ranks(r: int, k: int | None = None) -> None:
+    """Reject a gluing rank r below 2 and, when k is given, a fiber-map rank
+    outside 1..r.  The one place these conditions are checked."""
+    if r < 2:
+        raise ValueError(f"gluing rank must be >= 2, got {r}")
+    if k is not None and not 1 <= k <= r:
+        raise ValueError(f"fiber-map rank must satisfy 1 <= k <= r, got k={k}, r={r}")
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import NodalCurve, Polarization, chi_to_degree, dim_moduli_smooth
+from .gluing import validate_ranks
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,6 @@ def projective_bundle_dimension(c: NodalCurve, r: int) -> int:
     (degree 1 serves for every r, and makes a genus-1 factor contribute 1);
     the projectivized space of fiber maps adds r^2 - 1.
     """
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
     base = dim_moduli_smooth(r, 1, c.g1) + dim_moduli_smooth(r, 1, c.g2)
     return base + (r * r - 1)
 
@@ -72,20 +71,17 @@ def enumerate_components(
     c: NodalCurve, r: int, chi: int, w: Polarization
 ) -> list[ComponentRecord]:
     """All components: splittings chi1 + chi2 = chi + r inside both windows
-    w_i chi <= chi_i <= w_i chi + r, sorted by chi1 ascending.
+    w_i chi <= chi_i <= w_i chi + r, sorted by chi1 ascending.  As w2 = 1 - w1,
+    the second window holds exactly when the first does.
 
     Both boundary values are included when w_i chi is an integer; that is
     the non-generic case :func:`is_generic_for` detects.
     """
-    if r < 2:
-        raise ValueError(f"gluing rank must be >= 2, got {r}")
+    validate_ranks(r)
     low1 = chi * w.w1
-    low2 = chi * w.w2
     records = []
     for chi1 in range(math.ceil(low1), math.floor(low1 + r) + 1):
         chi2 = chi + r - chi1
-        if not low2 <= chi2 <= low2 + r:
-            continue
         records.append(
             ComponentRecord(
                 chi1=chi1,

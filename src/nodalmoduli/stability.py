@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import Polarization, chi_to_degree, mk_slope, polarized_slope
+from .curves import NodalCurve, Polarization, chi_to_degree, mk_slope, polarized_slope
 from .feasibility import violated_conditions
 from .gluing import GluingDatum, glued_class
 
@@ -34,6 +34,7 @@ class StabilityHypotheses:
     """A gluing instance together with the component genera.
 
     Degrees d1, d2 are derived from the characteristics: di = chii - r(1-gi).
+    Validation is by :class:`NodalCurve`, then :class:`GluingDatum`.
     """
 
     r: int
@@ -46,16 +47,8 @@ class StabilityHypotheses:
     d2: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.g1 < 1 or self.g2 < 1:
-            raise ValueError(
-                f"component genera must be >= 1, got ({self.g1}, {self.g2})"
-            )
-        if self.r < 2:
-            raise ValueError(f"gluing rank must be >= 2, got {self.r}")
-        if not 1 <= self.k <= self.r:
-            raise ValueError(
-                f"fiber-map rank must satisfy 1 <= k <= r, got k={self.k}, r={self.r}"
-            )
+        NodalCurve(self.g1, self.g2)
+        self.gluing()
         object.__setattr__(self, "d1", chi_to_degree(self.chi1, self.r, self.g1))
         object.__setattr__(self, "d2", chi_to_degree(self.chi2, self.r, self.g2))
 
@@ -144,7 +137,6 @@ def check_sufficiency(
     h: StabilityHypotheses,
     w: Polarization,
     strict: bool = False,
-    degree_window: int = 0,
 ) -> tuple[bool, SubsheafInvariant | None]:
     """Search for a subsheaf shape whose slope beats the ambient slope.
 
@@ -156,10 +148,6 @@ def check_sufficiency(
     dominates all smaller ones.  In strict mode the comparison is strict,
     restricted to proper shapes ((s1, s2) = (r, r) excluded), under the
     stability upgrade of the component hypotheses.
-
-    ``degree_window`` > 0 additionally sweeps all degree pairs down to that
-    distance below the extremal ones, as a slow cross-check of the
-    extremal-degree reduction.
 
     Returns (holds, witness); the witness is the first violating invariant.
     """
@@ -178,19 +166,12 @@ def check_sufficiency(
                 if strict and (s1, s2) == (h.r, h.r):
                     continue
                 max1, max2 = max_degree_bounds((s, s1, s2), h, strict=strict)
-                for deg1 in _degree_choices(max1, degree_window):
-                    for deg2 in _degree_choices(max2, degree_window):
-                        f = SubsheafInvariant(s, s1, s2, deg1, deg2)
-                        slope = subsheaf_slope(f, h, w)
-                        if slope > ambient or (strict and slope == ambient):
-                            return False, f
+                # An absent side (bound None) has kernel degree 0 by convention.
+                f = SubsheafInvariant(s, s1, s2, max1 or 0, max2 or 0)
+                slope = subsheaf_slope(f, h, w)
+                if slope > ambient or (strict and slope == ambient):
+                    return False, f
     return True, None
-
-
-def _degree_choices(max_degree: int | None, window: int) -> range:
-    if max_degree is None:
-        return range(0, 1)  # absent side: the kernel degree is 0 by convention
-    return range(max_degree - window, max_degree + 1)
 
 
 def mk_semistable_test(

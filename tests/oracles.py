@@ -38,3 +38,46 @@ def region_characterization(r: int, k: int, chi1: int, chi2: int) -> bool:
     if chi < 0:
         return chi1 < k and chi2 < r
     raise ValueError("characterization applies only to chi != 0")
+
+
+def windowed_sufficiency(h, w1, window: int, strict: bool = False):
+    """Slow reference for the extremal-degree sufficiency sweep.
+
+    Re-derives everything from the plain fields (r, k, chi1, chi2, g1, g2)
+    of ``h`` in integer arithmetic, with w1 = p/q: every shape (s, s1, s2)
+    of the sweep, and every kernel degree pair from the hypothesis bound
+    down to ``window`` below it, is tested against the ambient slope
+    chi / r by cross-multiplication.  Degrees run downward, so a shape's
+    witness is its extremal pair unless a lower pair beats the ambient slope
+    while the extremal one does not.  No compatibility gate is applied.
+
+    Returns (holds, witness) with witness the first violating
+    (s, s1, s2, deg1, deg2) in sweep order, or None.
+    """
+    r, k = h.r, h.k
+    p, q = w1.numerator, w1.denominator
+    chi = h.chi1 + h.chi2 - r
+    d1 = h.chi1 - r * (1 - h.g1)
+    d2 = h.chi2 - r * (1 - h.g2)
+    cut = 1 if strict else 0  # a strict bound n/r admits at most (n - 1) // r
+
+    def degrees(rank: int, numerator: int) -> range:
+        if rank == 0:
+            return range(0, 1)
+        top = (rank * numerator - cut) // r
+        return range(top, top - window - 1, -1)
+
+    for s in range(0, k + 1):
+        for s1 in range(s, r + 1):
+            for s2 in range(s, r + 1):
+                if s1 + s2 == 0 or (strict and s1 == s2 == r):
+                    continue
+                weighted = p * s1 + (q - p) * s2  # q times the weighted rank
+                for deg1 in degrees(s1, d1 - k):
+                    for deg2 in degrees(s2, d2 - 2 * r):
+                        chi_f = deg1 + s1 * (1 - h.g1) + deg2 + s2 * (1 - h.g2) + s
+                        # subsheaf slope q chi_f / weighted vs ambient chi / r
+                        lhs, rhs = q * chi_f * r, chi * weighted
+                        if lhs > rhs or (strict and lhs == rhs):
+                            return False, (s, s1, s2, deg1, deg2)
+    return True, None

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import nodalmoduli
 from nodalmoduli.cli import main
 from nodalmoduli.feasibility import feasible_interval
 from nodalmoduli.rationals import RationalInterval
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -138,6 +144,21 @@ class TestRegion:
         )
         assert code == 1
 
+    def test_negative_range_after_a_space(self, capsys):
+        # The README form: a range starting with "-" as a separate argument
+        # prints the same bytes as the "--chi1=LO:HI" form in the corpus.
+        code, out, _ = run(
+            capsys, "region", "--r", "2", "--k", "1",
+            "--chi1", "-5:5", "--chi2", "-5:5", "--format", "csv",
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / "region_csv.out").read_bytes()
+        code, out, _ = run(
+            capsys, "region", "--r", "3", "--k", "2", "--chi1", "-2:3", "--chi2", "0:4"
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / "region_json.out").read_bytes()
+
     def test_malformed_range_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "region", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "0:1"
@@ -250,3 +271,24 @@ class TestUsageErrors:
         code, _, err = run(capsys, "feasible", "--r", "2")
         assert code == 2
         assert "usage" in err.lower()
+
+    def test_feasible_has_no_json_flag(self, capsys):
+        code, _, err = run(
+            capsys, "feasible", "--r", "2", "--k", "1", "--chi1", "2", "--chi2", "3",
+            "--json",
+        )
+        assert code == 2
+        assert "unrecognized arguments: --json" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(nodalmoduli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodalmoduli", "dims", "--g1", "2", "--g2", "3", "--r", "4"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "dims.out").read_bytes()

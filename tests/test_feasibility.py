@@ -12,7 +12,7 @@ from nodalmoduli.feasibility import (
     region_scan,
     violated_conditions,
 )
-from nodalmoduli.gluing import GluingDatum
+from nodalmoduli.gluing import GluingDatum, canonical_subsheaves
 from nodalmoduli.rationals import RationalInterval
 from oracles import grid_feasible
 
@@ -30,6 +30,39 @@ class TestNecessaryConditions:
 
     def test_satisfied_positive_chi(self):
         assert necessary_conditions(GluingDatum(2, 1, 2, 3), HALF)
+
+    def test_kernel_subsheaves_destabilize_exactly_at_violations(self):
+        # Oracle for the two-comparison evaluation: K1 out-slopes the glued
+        # sheaf exactly when "chi1 <= chi*w1 + k" fails, K2 exactly when
+        # "chi*w1 <= chi1" fails.  With w1 = p/q, the slope chi_K / wrank_K
+        # beats chi / r iff q chi_K r > chi (q wrank_K), all in integers.
+        first, second, third, fourth = (
+            "chi*w1 <= chi1",
+            "chi1 <= chi*w1 + k",
+            "chi*w2 + r - k <= chi2",
+            "chi2 <= chi*w2 + r",
+        )
+        for r in (2, 3, 4):
+            for k in range(1, r + 1):
+                for chi1 in range(-5, 6):
+                    for chi2 in range(-5, 6):
+                        u = GluingDatum(r, k, chi1, chi2)
+                        kernels = canonical_subsheaves(u)
+                        for q in range(2, 8):
+                            for p in range(1, q):
+                                w = Polarization(Fraction(p, q), Fraction(q - p, q))
+                                violated = violated_conditions(u, w)
+                                k1_beats, k2_beats = (
+                                    q * e.chi * r > u.chi * (p * e.r1 + (q - p) * e.r2)
+                                    for e in kernels
+                                )
+                                case = (r, k, chi1, chi2, w.w1, violated)
+                                in_order = [first, second, third, fourth]
+                                assert violated == [n for n in in_order if n in violated]
+                                assert k1_beats == (second in violated), case
+                                assert k2_beats == (first in violated), case
+                                assert (first in violated) == (fourth in violated)
+                                assert (second in violated) == (third in violated)
 
 
 class TestFeasibleInterval:

@@ -84,6 +84,19 @@ class TestMatrixRank:
             m = _random_matrix(rng, n)
             assert matrix_rank(m) == _rank_by_minors(m)
 
+    def test_against_sympy(self):
+        # sympy is not a dependency; where installed it is an oracle that
+        # reaches sizes the minor expansion cannot.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4242)
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            m = _random_matrix(rng, n)
+            reference = sympy.Matrix(
+                [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]
+            )
+            assert matrix_rank(m) == reference.rank(), m
+
 
 class TestGluedClass:
     def test_isomorphism_gives_bundle(self):

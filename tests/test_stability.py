@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from nodalmoduli import stability
 from nodalmoduli.curves import Polarization, polarized_slope
-from nodalmoduli.feasibility import feasible_interval
+from nodalmoduli.feasibility import feasible_interval, violated_conditions
 from nodalmoduli.gluing import canonical_subsheaves
 from nodalmoduli.stability import (
     NecessaryConditionError,
@@ -16,8 +17,13 @@ from nodalmoduli.stability import (
     nonstable_locus_codim_bound,
     subsheaf_slope,
 )
+from oracles import windowed_sufficiency
 
 HALF = Polarization(Fraction(1, 2), Fraction(1, 2))
+
+
+def _as_tuple(f: SubsheafInvariant | None):
+    return None if f is None else (f.s, f.s1, f.s2, f.deg_g1, f.deg_g2)
 
 
 def _random_polarization(rng: random.Random) -> Polarization:
@@ -153,7 +159,11 @@ class TestCheckSufficiency:
         for _ in range(40):
             h = _random_region_instance(rng)
             w = feasible_interval(h.r, h.k, h.chi1, h.chi2).sample
-            assert check_sufficiency(h, w) == check_sufficiency(h, w, degree_window=3)
+            for strict in (False, True):
+                holds, witness = check_sufficiency(h, w, strict=strict)
+                assert (holds, _as_tuple(witness)) == windowed_sufficiency(
+                    h, w.w1, window=3, strict=strict
+                )
 
     def test_extremal_degrees_dominate_window(self):
         # Lower degrees never beat the extremal pair's slope.
@@ -239,3 +249,30 @@ class TestCodimBound:
     def test_s_out_of_range(self, s):
         with pytest.raises(ValueError):
             nonstable_locus_codim_bound(2, 4, s)
+
+
+class TestGateBypassed:
+    def test_sweep_finds_witnesses_at_incompatible_weights(self, monkeypatch):
+        # Negative control for the no-witness sweeps: with the compatibility
+        # gate switched off, incompatible weights do yield witnesses.
+        monkeypatch.setattr(stability, "violated_conditions", lambda u, w: [])
+        weights = [Polarization.from_w1(Fraction(p, 7)) for p in range(1, 7)]
+        witnesses = 0
+        for r in (2, 3):
+            for k in range(1, r + 1):
+                for chi1 in range(-4, 5):
+                    for chi2 in range(-4, 5):
+                        h = StabilityHypotheses(r, k, chi1, chi2, r + 2, r + 2)
+                        for w in weights:
+                            violated = violated_conditions(h.gluing(), w)
+                            if not violated:
+                                continue
+                            holds, witness = check_sufficiency(h, w)
+                            assert (holds, _as_tuple(witness)) == windowed_sufficiency(
+                                h, w.w1, window=3
+                            )
+                            # The shape (0, r, 0) at its extremal degree is K1.
+                            if "chi1 <= chi*w1 + k" in violated:
+                                assert not holds, (r, k, chi1, chi2, w.w1)
+                            witnesses += not holds
+        assert witnesses > 100
