@@ -12,13 +12,14 @@ Exit codes: 0 success; 1 domain error (structured error JSON on stdout);
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
 
 from .curves import NodalCurve, Polarization
-from .feasibility import feasible_interval, region_scan
+from .feasibility import feasible_interval, region_cells
 from .gluing import GluingDatum, glued_class, parse_matrix
 from .moduli import (
     component_dimension,
@@ -27,11 +28,31 @@ from .moduli import (
     is_generic_for,
     projective_bundle_dimension,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_ratio, format_rational, parse_rational
 from .stability import StabilityHypotheses, check_sufficiency, mk_semistable_test
 
 MAX_CELLS_ENV = "NODAL_MODULI_MAX_CELLS"
 DEFAULT_MAX_CELLS = 10**6
+
+# Cells per write of a streamed region: enough to amortise the write, few
+# enough that memory stays flat in the size of the box.
+REGION_BATCH = 1000
+
+# One region cell exactly as json.dumps(..., sort_keys=True, indent=2) lays it
+# out inside "cells"; an empty interval is written as the open (0, 0).
+_JSON_CELL = """\
+      {
+        "chi1": %d,
+        "chi2": %d,
+        "feasible": %s,
+        "w1_interval": {
+          "lower": "%s",
+          "lower_open": %s,
+          "upper": "%s",
+          "upper_open": %s
+        }
+      }"""
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 def rational_arg(text: str):
@@ -51,14 +72,18 @@ def int_range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integer bounds in {text!r}") from exc
 
 
-def _emit(command: str, inputs: dict, outputs: dict, warnings: list[str]) -> None:
+def _document(command: str, inputs: dict, outputs: dict, warnings: list[str]) -> str:
     doc = {
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
         "warnings": warnings,
     }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _emit(command: str, inputs: dict, outputs: dict, warnings: list[str]) -> None:
+    print(_document(command, inputs, outputs, warnings))
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
@@ -79,6 +104,33 @@ def _cmd_feasible(args) -> int:
     return 0
 
 
+def _json_cell(chi1: int, chi2: int, bounds) -> str:
+    if bounds is None:
+        return _JSON_CELL % (chi1, chi2, "false", "0", "true", "0", "true")
+    lo, hi, den, lo_open, hi_open = bounds
+    return _JSON_CELL % (
+        chi1, chi2, "true",
+        format_ratio(lo, den), _JSON_BOOL[lo_open],
+        format_ratio(hi, den), _JSON_BOOL[hi_open],
+    )
+
+
+def _csv_row(chi1: int, chi2: int, bounds) -> str:
+    if bounds is None:
+        return f"{chi1},{chi2},false,,\n"
+    lo, hi, den = bounds[:3]
+    return f"{chi1},{chi2},true,{format_ratio(lo, den)},{format_ratio(hi, den)}\n"
+
+
+def _write_joined(texts, sep: str) -> None:
+    """Write texts separated by sep, REGION_BATCH at a time."""
+    texts = iter(texts)
+    lead = ""
+    while batch := list(itertools.islice(texts, REGION_BATCH)):
+        sys.stdout.write(lead + sep.join(batch))
+        lead = sep
+
+
 def _cmd_region(args) -> int:
     max_cells = DEFAULT_MAX_CELLS
     raw = os.environ.get(MAX_CELLS_ENV)
@@ -87,14 +139,10 @@ def _cmd_region(args) -> int:
             max_cells = int(raw)
         except ValueError:
             raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}")
-    rows = region_scan(args.r, args.k, args.chi1, args.chi2, max_cells=max_cells)
+    cells = region_cells(args.r, args.k, args.chi1, args.chi2, max_cells=max_cells)
     if args.format == "csv":
-        csv_rows = []
-        for chi1, chi2, ok, interval in rows:
-            lo = "" if not ok or interval.lower is None else format_rational(interval.lower)
-            hi = "" if not ok or interval.upper is None else format_rational(interval.upper)
-            csv_rows.append([str(chi1), str(chi2), "true" if ok else "false", lo, hi])
-        _emit_csv(["chi1", "chi2", "feasible", "w1_lo", "w1_hi"], csv_rows)
+        sys.stdout.write("chi1,chi2,feasible,w1_lo,w1_hi\n")
+        _write_joined(itertools.starmap(_csv_row, cells), "")
         return 0
     inputs = {
         "r": str(args.r),
@@ -102,16 +150,17 @@ def _cmd_region(args) -> int:
         "chi1": f"{args.chi1[0]}:{args.chi1[1]}",
         "chi2": f"{args.chi2[0]}:{args.chi2[1]}",
     }
-    cells = [
-        {
-            "chi1": chi1,
-            "chi2": chi2,
-            "feasible": ok,
-            "w1_interval": interval.to_json(),
-        }
-        for chi1, chi2, ok, interval in rows
-    ]
-    _emit("region", inputs, {"cells": cells, "count": len(cells)}, [])
+    (lo1, hi1), (lo2, hi2) = args.chi1, args.chi2
+    count = max(0, hi1 - lo1 + 1) * max(0, hi2 - lo2 + 1)
+    text = _document("region", inputs, {"cells": [], "count": count}, [])
+    if count == 0:
+        print(text)
+        return 0
+    # Stream the cells into the brackets of the document for no cells.
+    head, _, tail = text.partition('"cells": []')
+    sys.stdout.write(head + '"cells": [\n')
+    _write_joined(itertools.starmap(_json_cell, cells), ",\n")
+    sys.stdout.write("\n    ]" + tail + "\n")
     return 0
 
 
@@ -315,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise  # the reader has gone; console_main ends quietly
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, sort_keys=True, indent=2))
@@ -322,4 +373,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

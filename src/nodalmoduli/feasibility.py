@@ -13,18 +13,24 @@ the system degenerates to the integer test 0 <= chi1 <= k and every weight
 works when it passes.  The admissible region is that interval intersected
 with the open unit interval of valid weights, so infeasibility is simply an
 empty intersection.
+
+:func:`w1_bounds` computes the intersection in integers alone, as numerators
+over the common denominator |chi| (the fraction-free idiom of
+``gluing.matrix_rank``); the ``Fraction``-valued reports are built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .curves import Polarization
 from .gluing import GluingDatum, validate_ranks
 from .rationals import RationalInterval
 
-_OPEN_UNIT = RationalInterval(Fraction(0), Fraction(1), True, True)
+# (lo, hi, den, lo_open, hi_open): the w1-interval from lo/den to hi/den.
+Bounds = tuple[int, int, int, bool, bool]
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,37 @@ def necessary_conditions(u: GluingDatum, w: Polarization) -> bool:
     return not violated_conditions(u, w)
 
 
+def w1_bounds(r: int, k: int, chi1: int, chi2: int) -> Bounds | None:
+    """The compatible w1-interval in integers: None when it is empty, else
+    (lo, hi, den, lo_open, hi_open) for the interval from lo/den to hi/den.
+
+    The raw solution runs from (chi1 - k)/chi to chi1/chi (flipped when
+    chi < 0), so with den = |chi| both numerators are integers and hi - lo
+    = k >= 1; clipping to the open unit interval replaces an endpoint at or
+    beyond 0 or 1 by an open one.  The fractions need not be in lowest
+    terms.  r and k are not validated here.
+    """
+    chi = chi1 + chi2 - r
+    if chi == 0:
+        return (0, 1, 1, True, True) if 0 <= chi1 <= k else None
+    if chi > 0:
+        lo, hi, den = chi1 - k, chi1, chi
+    else:
+        lo, hi, den = -chi1, k - chi1, -chi
+    if hi <= 0 or lo >= den:
+        return None
+    lo_open = lo <= 0
+    hi_open = hi >= den
+    return (0 if lo_open else lo, den if hi_open else hi, den, lo_open, hi_open)
+
+
+def _interval(bounds: Bounds | None) -> RationalInterval:
+    if bounds is None:
+        return RationalInterval.empty()
+    lo, hi, den, lo_open, hi_open = bounds
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den), lo_open, hi_open)
+
+
 def feasible_interval(r: int, k: int, chi1: int, chi2: int) -> FeasibilityReport:
     """Exact w1-interval of polarizations compatible with (r, k, chi1, chi2).
 
@@ -79,17 +116,17 @@ def feasible_interval(r: int, k: int, chi1: int, chi2: int) -> FeasibilityReport
     stores its intersection with the open unit interval.
     """
     validate_ranks(r, k)
-    chi = chi1 + chi2 - r
-    if chi == 0:
-        interval = _OPEN_UNIT if 0 <= chi1 <= k else RationalInterval.empty()
-    else:
-        # Dividing by chi flips the endpoint order when chi < 0.
-        endpoints = sorted((Fraction(chi1 - k, chi), Fraction(chi1, chi)))
-        interval = RationalInterval.closed(*endpoints).intersect(_OPEN_UNIT)
-    w1 = interval.sample()
-    sample = None if w1 is None else Polarization(w1, 1 - w1)
+    bounds = w1_bounds(r, k, chi1, chi2)
+    sample = None
+    if bounds is not None:
+        lo, hi, den = bounds[:3]
+        w1 = Fraction(lo + hi, 2 * den)
+        sample = Polarization(w1, 1 - w1)
     return FeasibilityReport(
-        feasible=not interval.is_empty, w1_interval=interval, sample=sample, chi=chi
+        feasible=bounds is not None,
+        w1_interval=_interval(bounds),
+        sample=sample,
+        chi=chi1 + chi2 - r,
     )
 
 
@@ -112,6 +149,32 @@ def in_region_all_k(r: int, chi1: int, chi2: int) -> bool:
     return feasible_interval_all_k(r, chi1, chi2).feasible
 
 
+def region_cells(
+    r: int,
+    k: int,
+    chi1_range: tuple[int, int],
+    chi2_range: tuple[int, int],
+    max_cells: int | None = None,
+) -> Iterator[tuple[int, int, Bounds | None]]:
+    """Feasibility over a lattice box of (chi1, chi2) pairs, one cell at a time.
+
+    r, k and the cell cap are checked before anything is returned, so a bad
+    box fails even when it is empty.  The iterator yields
+    (chi1, chi2, w1_bounds(...)) chi1-major, chi2-minor, both ascending.
+    """
+    chi1s = range(chi1_range[0], chi1_range[1] + 1)
+    chi2s = range(chi2_range[0], chi2_range[1] + 1)
+    cells = len(chi1s) * len(chi2s)
+    if max_cells is not None and cells > max_cells:
+        raise ValueError(
+            f"region of {cells} lattice points exceeds the cap of {max_cells}"
+        )
+    validate_ranks(r, k)
+    return (
+        (chi1, chi2, w1_bounds(r, k, chi1, chi2)) for chi1 in chi1s for chi2 in chi2s
+    )
+
+
 def region_scan(
     r: int,
     k: int,
@@ -122,19 +185,10 @@ def region_scan(
     """Tabulate feasibility over a lattice box of (chi1, chi2) pairs.
 
     Rows are emitted chi1-major, chi2-minor, both ascending.  Empty ranges
-    yield an empty list.
+    yield an empty list; r, k and the cap are checked first, as in
+    :func:`region_cells`.
     """
-    lo1, hi1 = chi1_range
-    lo2, hi2 = chi2_range
-    n1 = max(0, hi1 - lo1 + 1)
-    n2 = max(0, hi2 - lo2 + 1)
-    if max_cells is not None and n1 * n2 > max_cells:
-        raise ValueError(
-            f"region of {n1 * n2} lattice points exceeds the cap of {max_cells}"
-        )
-    rows = []
-    for chi1 in range(lo1, hi1 + 1):
-        for chi2 in range(lo2, hi2 + 1):
-            report = feasible_interval(r, k, chi1, chi2)
-            rows.append((chi1, chi2, report.feasible, report.w1_interval))
-    return rows
+    return [
+        (chi1, chi2, bounds is not None, _interval(bounds))
+        for chi1, chi2, bounds in region_cells(r, k, chi1_range, chi2_range, max_cells)
+    ]

@@ -12,6 +12,7 @@ systems, so the empty interval is a normal value, never an error.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,12 +40,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def format_ratio(num: int, den: int) -> str:
+    """Render num/den (den > 0) in lowest terms as "p/q", or "p" when it is
+    an integer.  The package's one "p/q" encoder."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
     q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
 
 
 # Canonical field values of the unique empty interval.

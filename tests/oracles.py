@@ -1,9 +1,33 @@
 """Brute-force oracles shared by the unit and acceptance suites.
 
-These deliberately avoid the library's interval machinery: feasibility is
+These deliberately avoid the library's feasibility code: feasibility is
 decided by scanning a rational weight grid and testing the four
-compatibility inequalities directly in integer arithmetic.
+compatibility inequalities directly in integer arithmetic, and the exact
+w1-interval is recomputed in ``Fraction`` arithmetic by sorting and
+intersecting, independently of the integer kernel ``w1_bounds``.
 """
+
+from fractions import Fraction
+
+from nodalmoduli.rationals import RationalInterval
+
+_OPEN_UNIT = RationalInterval.open(0, 1)
+
+
+def fraction_interval(r: int, k: int, chi1: int, chi2: int) -> RationalInterval:
+    """Reference w1-interval of compatible polarizations.
+
+    The closed solution of the inequality system has endpoints
+    (chi1 - k)/chi and chi1/chi, sorted by value since dividing by chi < 0
+    flips them; it is intersected with the open unit interval by
+    ``RationalInterval.intersect``.  At chi = 0 every weight works when
+    0 <= chi1 <= k and none otherwise.
+    """
+    chi = chi1 + chi2 - r
+    if chi == 0:
+        return _OPEN_UNIT if 0 <= chi1 <= k else RationalInterval.empty()
+    endpoints = sorted((Fraction(chi1 - k, chi), Fraction(chi1, chi)))
+    return RationalInterval.closed(*endpoints).intersect(_OPEN_UNIT)
 
 
 def grid_feasible(r: int, k: int, chi1: int, chi2: int) -> bool:

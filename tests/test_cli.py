@@ -1,13 +1,18 @@
+import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import nodalmoduli
 from nodalmoduli.cli import main
 from nodalmoduli.feasibility import feasible_interval
-from nodalmoduli.rationals import RationalInterval
+from nodalmoduli.rationals import RationalInterval, format_rational
 from test_golden import GOLDEN
 
 
@@ -165,6 +170,173 @@ class TestRegion:
         )
         assert code == 2
         assert "--chi1" in err
+
+
+def old_region_output(r, k, chi1_range, chi2_range, fmt):
+    """The region output as the CLI printed it when it held the whole box:
+    one json.dumps document, or every CSV row, built from feasible_interval."""
+    rows = [
+        (chi1, chi2, feasible_interval(r, k, chi1, chi2))
+        for chi1 in range(chi1_range[0], chi1_range[1] + 1)
+        for chi2 in range(chi2_range[0], chi2_range[1] + 1)
+    ]
+    if fmt == "csv":
+        lines = ["chi1,chi2,feasible,w1_lo,w1_hi"]
+        for chi1, chi2, report in rows:
+            interval = report.w1_interval
+            lo = format_rational(interval.lower) if report.feasible else ""
+            hi = format_rational(interval.upper) if report.feasible else ""
+            lines.append(f"{chi1},{chi2},{str(report.feasible).lower()},{lo},{hi}")
+        return "".join(line + "\n" for line in lines)
+    cells = [
+        {
+            "chi1": chi1,
+            "chi2": chi2,
+            "feasible": report.feasible,
+            "w1_interval": report.w1_interval.to_json(),
+        }
+        for chi1, chi2, report in rows
+    ]
+    doc = {
+        "command": "region",
+        "inputs": {
+            "r": str(r),
+            "k": str(k),
+            "chi1": f"{chi1_range[0]}:{chi1_range[1]}",
+            "chi2": f"{chi2_range[0]}:{chi2_range[1]}",
+        },
+        "outputs": {"cells": cells, "count": len(cells)},
+        "warnings": [],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _seeded_boxes(n):
+    """n boxes of up to 16 x 16 cells, seeded; negative starts, empty and
+    one-cell ranges and boxes across chi = 0 all occur."""
+    rng = random.Random(20190)
+    for _ in range(n):
+        r = rng.randint(2, 8)
+        k = rng.randint(1, r)
+        ranges = []
+        for _ in range(2):
+            lo = rng.randint(-12, 12)
+            ranges.append((lo, lo + rng.choice([-2, -1, 0, 0, 1, 3, 7, 15])))
+        yield r, k, ranges[0], ranges[1]
+
+
+# Special boxes: empty either way, one cell, one cell at chi = 0, and boxes
+# longer than one write batch in each direction.
+EDGE_BOXES = [
+    (2, 1, (3, 1), (0, 1)),
+    (2, 1, (0, 1), (5, -5)),
+    (3, 2, (-7, -7), (4, 4)),
+    (4, 3, (2, 2), (2, 2)),
+    (3, 1, (-1200, 1300), (2, 2)),
+    (5, 5, (0, 0), (-1500, 1000)),
+    (2, 2, (-22, 22), (-22, 22)),
+]
+
+
+class TestRegionStreaming:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bytes_match_the_whole_box_output(self, capsys, fmt):
+        boxes = list(_seeded_boxes(200)) + EDGE_BOXES
+        chi0_cells = 0
+        for r, k, (lo1, hi1), (lo2, hi2) in boxes:
+            code, out, _ = run(
+                capsys, "region", "--r", str(r), "--k", str(k),
+                f"--chi1={lo1}:{hi1}", f"--chi2={lo2}:{hi2}", "--format", fmt,
+            )
+            assert code == 0
+            assert out == old_region_output(r, k, (lo1, hi1), (lo2, hi2), fmt), (
+                r, k, lo1, hi1, lo2, hi2,
+            )
+            chi0_cells += sum(
+                lo2 <= r - chi1 <= hi2 for chi1 in range(lo1, hi1 + 1)
+            )
+        assert chi0_cells > 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "chi1, chi2",
+        [("0:0", "-50000:49999"), ("-50000:49999", "0:0"), ("-158:157", "-158:157")],
+        ids=["1x100000", "100000x1", "316x316"],
+    )
+    def test_memory_stays_flat(self, fmt, chi1, chi2):
+        class NullSink:
+            def write(self, text):
+                return len(text)
+
+        argv = ["region", "--r", "3", "--k", "2", f"--chi1={chi1}", f"--chi2={chi2}",
+                "--format", fmt]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(NullSink()):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "r, k, message",
+        [(1, 0, "gluing rank must be >= 2, got 1"), (2, 3, "fiber-map rank")],
+    )
+    def test_empty_box_with_bad_ranks_is_domain_error(self, capsys, r, k, message):
+        code, out, _ = run(
+            capsys, "region", "--r", str(r), "--k", str(k),
+            "--chi1", "3:1", "--chi2", "0:1",
+        )
+        assert code == 1
+        assert message in json.loads(out)["error"]["message"]
+
+
+def src_env():
+    """The environment with the package's source directory on PYTHONPATH."""
+    src = str(Path(nodalmoduli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_main_writes_nothing_after_the_pipe_closes():
+    # A closed pipe is not a domain error: main must not try to write the
+    # error document to it, but let the exception reach console_main.
+    class ClosedPipe:
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            raise BrokenPipeError(32, "Broken pipe")
+
+    pipe = ClosedPipe()
+    argv = ["region", "--r", "2", "--k", "1", "--chi1=0:3", "--chi2=0:3", "--format", "csv"]
+    with contextlib.redirect_stdout(pipe), pytest.raises(BrokenPipeError):
+        main(argv)
+    assert pipe.writes == 1
+
+
+def test_closed_pipe_ends_quietly():
+    # Like "| head -3": read three rows of a 10^5-cell CSV, then close the pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nodalmoduli", "region", "--r", "2", "--k", "1",
+         "--chi1=0:0", "--chi2=-50000:49999", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env(),
+    )
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    code = proc.wait(timeout=60)
+    proc.stderr.close()
+    assert lines == [
+        b"chi1,chi2,feasible,w1_lo,w1_hi\n",
+        b"0,-50000,true,0,1/50002\n",
+        b"0,-49999,true,0,1/50001\n",
+    ]
+    assert err == b""
+    assert code == 1
 
 
 class TestComponents:

@@ -3,18 +3,21 @@ from fractions import Fraction
 import pytest
 
 from nodalmoduli.curves import Polarization
+from nodalmoduli import feasibility
 from nodalmoduli.feasibility import (
     feasible_interval,
     feasible_interval_all_k,
     in_region,
     in_region_all_k,
     necessary_conditions,
+    region_cells,
     region_scan,
     violated_conditions,
+    w1_bounds,
 )
 from nodalmoduli.gluing import GluingDatum, canonical_subsheaves
 from nodalmoduli.rationals import RationalInterval
-from oracles import grid_feasible
+from oracles import fraction_interval, grid_feasible, region_characterization
 
 HALF = Polarization(Fraction(1, 2), Fraction(1, 2))
 
@@ -216,3 +219,90 @@ class TestRegionScan:
     def test_cell_cap(self):
         with pytest.raises(ValueError):
             region_scan(2, 1, (0, 99), (0, 99), max_cells=100)
+
+
+# The kernel sweep: r 2..8, every k, chi1 and chi2 in -15..15 (33,635 cases).
+KERNEL_CASES = [
+    (r, k, chi1, chi2)
+    for r in range(2, 9)
+    for k in range(1, r + 1)
+    for chi1 in range(-15, 16)
+    for chi2 in range(-15, 16)
+]
+
+
+def _kernel_mismatches():
+    """Cases where feasible_interval disagrees with the Fraction reference in
+    the interval, its openness, the sample or the verdict."""
+    for case in KERNEL_CASES:
+        want = fraction_interval(*case)
+        report = feasible_interval(*case)
+        got = report.w1_interval
+        sample = None if report.sample is None else report.sample.w1
+        if (
+            (got.lower, got.upper, got.lower_open, got.upper_open)
+            != (want.lower, want.upper, want.lower_open, want.upper_open)
+            or sample != want.sample()
+            or report.feasible == want.is_empty
+        ):
+            yield case, report, want
+
+
+class TestIntegerKernel:
+    def test_matches_fraction_reference(self):
+        assert next(_kernel_mismatches(), None) is None
+
+    def test_verdict_matches_sign_cases(self):
+        for r, k, chi1, chi2 in KERNEL_CASES:
+            if chi1 + chi2 == r:
+                want = 0 <= chi1 <= k
+            else:
+                want = region_characterization(r, k, chi1, chi2)
+            assert feasible_interval(r, k, chi1, chi2).feasible == want
+
+    def test_bounds_are_integer_fractions_of_the_unit_interval(self):
+        for case in KERNEL_CASES:
+            bounds = w1_bounds(*case)
+            if bounds is not None:
+                lo, hi, den, lo_open, hi_open = bounds
+                assert all(type(x) is int for x in (lo, hi, den)), case
+                assert 0 <= lo < hi <= den, case
+                assert lo_open == (lo == 0) and hi_open == (hi == den), case
+
+    def test_negative_control_closed_tie_at_zero(self, monkeypatch):
+        # A kernel that keeps a raw lower endpoint of exactly 0 closed, instead
+        # of opening it to meet (0, 1), must be caught by the reference check.
+        def tie_closed(r, k, chi1, chi2):
+            bounds = w1_bounds(r, k, chi1, chi2)
+            chi = chi1 + chi2 - r
+            raw_lower = chi1 - k if chi > 0 else -chi1
+            if bounds is not None and chi != 0 and raw_lower == 0:
+                return bounds[:3] + (False, bounds[4])
+            return bounds
+
+        monkeypatch.setattr(feasibility, "w1_bounds", tie_closed)
+        case, report, want = next(_kernel_mismatches())
+        assert report.w1_interval.lower == 0 and not report.w1_interval.lower_open
+        assert want.lower == 0 and want.lower_open
+
+
+class TestRegionCells:
+    def test_rows_follow_region_scan(self):
+        cells = list(region_cells(3, 2, (-4, 4), (-3, 5)))
+        rows = region_scan(3, 2, (-4, 4), (-3, 5))
+        assert [(a, b, bounds is not None) for a, b, bounds in cells] == [
+            (a, b, ok) for a, b, ok, _ in rows
+        ]
+        for (a, b, _), (_, _, _, interval) in zip(cells, rows):
+            assert interval == feasible_interval(3, 2, a, b).w1_interval
+
+    @pytest.mark.parametrize("r, k", [(1, 0), (1, 1), (2, 0), (2, 3)])
+    def test_validates_ranks_before_walking_an_empty_box(self, r, k):
+        with pytest.raises(ValueError):
+            region_scan(r, k, (3, 2), (0, 5))
+        with pytest.raises(ValueError):
+            region_cells(r, k, (3, 2), (0, 5))  # raised by the call, not by next()
+
+    def test_cap_is_checked_by_the_call(self):
+        with pytest.raises(ValueError, match="exceeds the cap of 100"):
+            region_cells(2, 1, (0, 99), (0, 99), max_cells=100)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from nodalmoduli.rationals import (
     RationalInterval,
+    format_ratio,
     format_rational,
     parse_rational,
 )
@@ -38,6 +39,19 @@ class TestRationalArithmetic:
         assert format_rational(Fraction(3, 1)) == "3"
         assert format_rational(Fraction(-1, 2)) == "-1/2"
         assert format_rational(7) == "7"
+
+    def test_format_ratio_reduces(self):
+        assert format_ratio(2, 4) == "1/2"
+        assert format_ratio(-3, 6) == "-1/2"
+        assert format_ratio(0, 7) == "0"
+        assert format_ratio(6, 3) == "2"
+        assert format_ratio(-5, 1) == "-5"
+
+    @given(st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+    def test_format_ratio_is_the_canonical_fraction(self, n, d):
+        q = Fraction(n, d)
+        want = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        assert format_ratio(n, d) == want
 
     @given(
         st.integers(min_value=-(10**6), max_value=10**6),
