@@ -107,6 +107,9 @@ CASES = {
     "glue_degenerate": (
         ["glue", "--matrix", "degenerate.json", "--chi1", "3", "--chi2", "1"], 0, {}
     ),
+    "glue_scaled_rank7": (
+        ["glue", "--matrix", "scaled_rank7.json", "--chi1", "2", "--chi2", "-3"], 0, {}
+    ),
     "glue_zero_matrix": (
         ["glue", "--matrix", "zero.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
