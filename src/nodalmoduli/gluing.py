@@ -49,7 +49,7 @@ class GluingDatum:
     def __post_init__(self) -> None:
         validate_ranks(self.r)
         if self.sigma is not None:
-            sigma = tuple(tuple(Fraction(x) for x in row) for row in self.sigma)
+            sigma = tuple(tuple(map(_exact, row)) for row in self.sigma)
             if len(sigma) != self.r or any(len(row) != self.r for row in sigma):
                 raise ValueError(f"sigma must be a {self.r}x{self.r} matrix")
             object.__setattr__(self, "sigma", sigma)
@@ -76,13 +76,28 @@ def validate_ranks(r: int, k: int | None = None) -> None:
         raise ValueError(f"fiber-map rank must satisfy 1 <= k <= r, got k={k}, r={r}")
 
 
+def _exact(x: object) -> Fraction:
+    """A matrix entry as an exact rational.  A float is refused: its binary
+    value is not the decimal it was written as, so it would decide a rank by
+    rounding."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"matrix entries must be exact rationals, got the float {x!r}")
+    return Fraction(x)
+
+
 def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
-    Each row is first scaled to integer entries (clearing denominators does
-    not change the rank); every later division is then exact.  Pivots are
-    chosen as the first nonzero entry in the column.  Requires a square
-    matrix.
+    Each entry is converted once (ints and Fractions as they are, floats
+    refused) and each row is scaled by the lcm of its denominators to
+    integers.  Each column and then each row is divided by the gcd of its
+    entries; nonzero scaling does not change the rank, and it keeps the
+    integers that elimination multiplies small.  The pivot is the first
+    nonzero entry of the column among the rows not yet used; rows that
+    become zero are dropped, and every later division is exact.  Requires a
+    square matrix, which is left unchanged.
     """
     n = len(matrix)
     if n == 0:
@@ -93,26 +108,41 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
             raise ValueError(
                 f"matrix must be square, got a row of length {len(row)} with {n} rows"
             )
-        entries = [Fraction(x) for x in row]
+        entries = [x if type(x) is Fraction or type(x) is int else _exact(x) for x in row]
         scale = math.lcm(*(e.denominator for e in entries))
-        rows.append([int(e * scale) for e in entries])
+        rows.append([e.numerator * (scale // e.denominator) for e in entries])
+
+    contents = [math.gcd(*column) for column in zip(*rows)]
+    if any(g > 1 for g in contents):
+        rows = [[a // g if g > 1 else a for a, g in zip(row, contents)] for row in rows]
+    rows = [_primitive(row) for row in rows if any(row)]
 
     rank = 0
     prev = 1
-    for col in range(n):
-        pivot = next((i for i in range(rank, n) if rows[i][col] != 0), None)
+    while rows:
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
+            rows = [row[1:] for row in rows]
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, n):
-            factor = rows[i][col]
-            for j in range(col + 1, n):
-                rows[i][j] = (rows[i][j] * lead - factor * rows[rank][j]) // prev
-            rows[i][col] = 0
+        pivot_row = rows.pop(pivot)
+        lead = pivot_row[0]
+        pivot_tail = pivot_row[1:]
+        updated = []
+        for row in rows:
+            factor = row[0]
+            new = [(a * lead - factor * b) // prev for a, b in zip(row[1:], pivot_tail)]
+            if any(new):
+                updated.append(new)
+        rows = updated
         prev = lead
         rank += 1
     return rank
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g == 1 else [a // g for a in row]
 
 
 def glued_class(u: GluingDatum) -> tuple[SheafClass, StalkType, bool]:

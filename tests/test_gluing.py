@@ -1,5 +1,7 @@
+import copy
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,58 @@ def _random_matrix(rng: random.Random, n: int):
     return [[cell() for _ in range(n)] for _ in range(n)]
 
 
+def _rank_t_core(rng: random.Random, m: int, t: int) -> list[list[int]]:
+    """L diag(d) U with L unit lower and U unit upper triangular (so both
+    unimodular) and d nonzero on the first t places only: rank exactly t.
+    Its leading (m-1) x (m-1) minor is the product d[0] ... d[m-2]."""
+    d = [rng.choice((-3, -2, -1, 1, 2, 3)) if l < t else 0 for l in range(m)]
+    low = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(m)] for i in range(m)]
+    up = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(m)] for i in range(m)]
+    return [
+        [sum(low[i][l] * d[l] * up[l][j] for l in range(min(i, j) + 1)) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def _scaled_matrix(rng: random.Random, n: int, core: list[list[int]]):
+    """Place the m x m core at random rows and columns of an n x n zero
+    matrix, then scale every row and column by a nonzero rational; some rows
+    also by a shared integer factor.  None of this changes the rank.  Entries
+    with denominator 1 are plain ints.  Returns the matrix and the places of
+    the core's rows and columns."""
+    m = len(core)
+    row_at = sorted(rng.sample(range(n), m))
+    col_at = sorted(rng.sample(range(n), m))
+
+    def scale() -> Fraction:
+        factor = rng.choice((1, 1, 1, 6, 30, 2**40))
+        return factor * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    rows = [scale() for _ in range(n)]
+    cols = [scale() for _ in range(n)]
+    matrix = [[0] * n for _ in range(n)]
+    for ci, i in enumerate(row_at):
+        for cj, j in enumerate(col_at):
+            x = rows[i] * core[ci][cj] * cols[j]
+            matrix[i][j] = x.numerator if x.denominator == 1 else x
+    return matrix, row_at, col_at
+
+
+def _known_rank_cases(rng: random.Random, n: int):
+    """(matrix, rank) pairs of rank n, n - 1 and small, with and without
+    zero rows and columns."""
+    small = min(n, rng.randint(1, 3))
+    for rank, m in ((n, n), (n - 1, n), (n - 1, n - 1), (small, n), (small, max(small, n - 2))):
+        matrix, _, _ = _scaled_matrix(rng, n, _rank_t_core(rng, m, rank))
+        yield matrix, rank
+
+
+def _sympy_rank(sympy, matrix) -> int:
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
+    ).rank()
+
+
 class TestMatrixRank:
     def test_identity(self):
         assert matrix_rank([[1, 0], [0, 1]]) == 2
@@ -92,10 +146,53 @@ class TestMatrixRank:
         for _ in range(150):
             n = rng.randint(1, 9)
             m = _random_matrix(rng, n)
-            reference = sympy.Matrix(
-                [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]
-            )
-            assert matrix_rank(m) == reference.rank(), m
+            assert matrix_rank(m) == _sympy_rank(sympy, m), m
+        for n in range(1, 13):
+            for m, _ in _known_rank_cases(rng, n):
+                assert matrix_rank(m) == _sympy_rank(sympy, m), m
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 24, 48, 64])
+    def test_rank_by_construction(self, n):
+        rng = random.Random(9000 + n)
+        for _ in range(3 if n <= 12 else 1):
+            for m, rank in _known_rank_cases(rng, n):
+                assert matrix_rank(m) == rank, m
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 24, 64])
+    def test_changed_entry_breaks_corank_one(self, n):
+        # Negative control.  The core's leading (n-1) minor is nonzero, so
+        # adding anything nonzero to its last diagonal entry makes the
+        # determinant nonzero: the oracle expects n where it expected n - 1.
+        rng = random.Random(n)
+        core = _rank_t_core(rng, n, n - 1)
+        m, row_at, col_at = _scaled_matrix(rng, n, core)
+        assert matrix_rank(m) == n - 1
+        i, j = row_at[-1], col_at[-1]
+        m[i][j] += Fraction(1, 7)
+        assert matrix_rank(m) == n
+
+    def test_argument_is_not_mutated(self):
+        rng = random.Random(5)
+        for n in (1, 4, 9, 16):
+            for m, _ in _known_rank_cases(rng, n):
+                before = copy.deepcopy(m)
+                matrix_rank(m)
+                assert m == before
+                assert [list(map(type, row)) for row in m] == [
+                    list(map(type, row)) for row in before
+                ]
+
+    @pytest.mark.parametrize(
+        "matrix", [[[0.1, 0.2], [0.3, 0.6]], [[1, 0], [0, 1.0]], [[Fraction(1, 2), 2.5]] * 2]
+    )
+    def test_float_entries_rejected(self, matrix):
+        with pytest.raises(ValueError, match="float"):
+            matrix_rank(matrix)
+        with pytest.raises(ValueError, match="float"):
+            GluingDatum(2, None, 0, 0, sigma=matrix)
+
+    def test_exact_non_fraction_entries_accepted(self):
+        assert matrix_rank([[True, Decimal("0.5")], [Fraction(1, 3), Fraction(1, 6)]]) == 1
 
 
 class TestGluedClass:
