@@ -117,9 +117,12 @@ def _json_cell(chi1: int, chi2: int, bounds) -> str:
 
 def _csv_row(chi1: int, chi2: int, bounds) -> str:
     if bounds is None:
-        return f"{chi1},{chi2},false,,\n"
-    lo, hi, den = bounds[:3]
-    return f"{chi1},{chi2},true,{format_ratio(lo, den)},{format_ratio(hi, den)}\n"
+        return f"{chi1},{chi2},false,,,,\n"
+    lo, hi, den, lo_open, hi_open = bounds
+    return (
+        f"{chi1},{chi2},true,{format_ratio(lo, den)},{format_ratio(hi, den)},"
+        f"{_JSON_BOOL[lo_open]},{_JSON_BOOL[hi_open]}\n"
+    )
 
 
 def _write_joined(texts, sep: str) -> None:
@@ -131,17 +134,29 @@ def _write_joined(texts, sep: str) -> None:
         lead = sep
 
 
-def _cmd_region(args) -> int:
-    max_cells = DEFAULT_MAX_CELLS
+def _max_cells() -> int:
+    """The work cap: NODAL_MODULI_MAX_CELLS, or DEFAULT_MAX_CELLS when unset."""
     raw = os.environ.get(MAX_CELLS_ENV)
-    if raw is not None:
-        try:
-            max_cells = int(raw)
-        except ValueError:
-            raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}")
-    cells = region_cells(args.r, args.k, args.chi1, args.chi2, max_cells=max_cells)
+    if raw is None:
+        return DEFAULT_MAX_CELLS
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}")
+
+
+def _check_work(units: int, what: str) -> None:
+    """Refuse a command whose work in units exceeds the cap; `what` names
+    the work with a {} for the count, as in the region message."""
+    cap = _max_cells()
+    if units > cap:
+        raise ValueError(f"{what.format(units)} exceeds the cap of {cap}")
+
+
+def _cmd_region(args) -> int:
+    cells = region_cells(args.r, args.k, args.chi1, args.chi2, max_cells=_max_cells())
     if args.format == "csv":
-        sys.stdout.write("chi1,chi2,feasible,w1_lo,w1_hi\n")
+        sys.stdout.write("chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open\n")
         _write_joined(itertools.starmap(_csv_row, cells), "")
         return 0
     inputs = {
@@ -165,6 +180,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_components(args) -> int:
+    _check_work(args.r + 1, "component enumeration of {} splittings")
     curve = NodalCurve(args.g1, args.g2)
     w = Polarization(args.w1, 1 - args.w1)
     records = enumerate_components(curve, args.r, args.chi, w)
@@ -220,6 +236,8 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_check_sufficiency(args) -> int:
+    shapes = (args.k + 1) * (args.r + 1) ** 2
+    _check_work(shapes, "sufficiency sweep of {} subsheaf shapes")
     h = StabilityHypotheses(args.r, args.k, args.chi1, args.chi2, args.g1, args.g2)
     warnings = []
     if args.w1 is not None:

@@ -5,14 +5,18 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nodalmoduli
 from nodalmoduli.cli import main
+from nodalmoduli.curves import NodalCurve, Polarization
 from nodalmoduli.feasibility import feasible_interval
+from nodalmoduli.moduli import enumerate_components
 from nodalmoduli.rationals import RationalInterval, format_rational
+from nodalmoduli.stability import StabilityHypotheses, check_sufficiency
 from test_golden import GOLDEN
 
 
@@ -121,11 +125,11 @@ class TestRegion:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "chi1,chi2,feasible,w1_lo,w1_hi"
-        assert lines[1] == "1,0,false,,"        # chi = -1 needs chi1 < k
-        assert lines[2] == "1,1,true,0,1"       # chi = 0 with 0 <= chi1 <= k
-        assert lines[3] == "1,2,true,0,1"
-        assert lines[4] == "1,3,true,0,1/2"
+        assert lines[0] == "chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open"
+        assert lines[1] == "1,0,false,,,,"              # chi = -1 needs chi1 < k
+        assert lines[2] == "1,1,true,0,1,true,true"     # chi = 0 with 0 <= chi1 <= k
+        assert lines[3] == "1,2,true,0,1,true,true"
+        assert lines[4] == "1,3,true,0,1/2,true,false"  # (0, 1/2]
 
     def test_json_format(self, capsys):
         doc = run_json(
@@ -172,21 +176,28 @@ class TestRegion:
         assert "--chi1" in err
 
 
-def old_region_output(r, k, chi1_range, chi2_range, fmt):
-    """The region output as the CLI printed it when it held the whole box:
-    one json.dumps document, or every CSV row, built from feasible_interval."""
+def whole_box_output(r, k, chi1_range, chi2_range, fmt):
+    """The region output built from feasible_interval with the whole box in
+    memory: one json.dumps document, or every CSV row."""
     rows = [
         (chi1, chi2, feasible_interval(r, k, chi1, chi2))
         for chi1 in range(chi1_range[0], chi1_range[1] + 1)
         for chi2 in range(chi2_range[0], chi2_range[1] + 1)
     ]
     if fmt == "csv":
-        lines = ["chi1,chi2,feasible,w1_lo,w1_hi"]
+        lines = ["chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open"]
         for chi1, chi2, report in rows:
             interval = report.w1_interval
-            lo = format_rational(interval.lower) if report.feasible else ""
-            hi = format_rational(interval.upper) if report.feasible else ""
-            lines.append(f"{chi1},{chi2},{str(report.feasible).lower()},{lo},{hi}")
+            fields = ["", "", "", ""]
+            if report.feasible:
+                fields = [
+                    format_rational(interval.lower),
+                    format_rational(interval.upper),
+                    str(interval.lower_open).lower(),
+                    str(interval.upper_open).lower(),
+                ]
+            verdict = str(report.feasible).lower()
+            lines.append(",".join([str(chi1), str(chi2), verdict, *fields]))
         return "".join(line + "\n" for line in lines)
     cells = [
         {
@@ -249,7 +260,7 @@ class TestRegionStreaming:
                 f"--chi1={lo1}:{hi1}", f"--chi2={lo2}:{hi2}", "--format", fmt,
             )
             assert code == 0
-            assert out == old_region_output(r, k, (lo1, hi1), (lo2, hi2), fmt), (
+            assert out == whole_box_output(r, k, (lo1, hi1), (lo2, hi2), fmt), (
                 r, k, lo1, hi1, lo2, hi2,
             )
             chi0_cells += sum(
@@ -331,9 +342,9 @@ def test_closed_pipe_ends_quietly():
     code = proc.wait(timeout=60)
     proc.stderr.close()
     assert lines == [
-        b"chi1,chi2,feasible,w1_lo,w1_hi\n",
-        b"0,-50000,true,0,1/50002\n",
-        b"0,-49999,true,0,1/50001\n",
+        b"chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open\n",
+        b"0,-50000,true,0,1/50002,true,false\n",
+        b"0,-49999,true,0,1/50001,true,false\n",
     ]
     assert err == b""
     assert code == 1
@@ -416,6 +427,42 @@ class TestCheckSufficiency:
         )
         assert code == 1
         assert "--w1" in json.loads(out)["error"]["message"]
+
+
+class TestWorkCaps:
+    # The NODAL_MODULI_MAX_CELLS cap also bounds the (k+1)(r+1)^2 shapes of a
+    # sufficiency sweep and the r+1 splittings of a component enumeration.
+    SWEEP = ("check-sufficiency", "--r", "3", "--k", "2", "--chi1", "2", "--chi2", "4",
+             "--g1", "5", "--g2", "5")
+    COMPONENTS = ("components", "--g1", "2", "--g2", "3", "--r", "3", "--chi", "5",
+                  "--w1", "2/7")
+
+    @pytest.mark.parametrize("argv, units", [(SWEEP, 48), (COMPONENTS, 4)])
+    def test_work_at_the_cap_runs_and_above_it_is_refused(
+        self, capsys, monkeypatch, argv, units
+    ):
+        monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", str(units))
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", str(units - 1))
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        message = json.loads(out)["error"]["message"]
+        assert f" of {units} " in message
+        assert message.endswith(f"exceeds the cap of {units - 1}")
+
+    @pytest.mark.parametrize("argv", [SWEEP, COMPONENTS])
+    def test_bad_cap_value(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", "lots")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "must be an integer" in json.loads(out)["error"]["message"]
+
+    def test_library_functions_are_uncapped(self, monkeypatch):
+        monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", "1")
+        h = StabilityHypotheses(3, 2, 2, 4, 5, 5)
+        assert check_sufficiency(h, feasible_interval(3, 2, 2, 4).sample)[0]
+        w = Polarization(Fraction(2, 7), Fraction(5, 7))
+        assert len(enumerate_components(NodalCurve(2, 3), 3, 5, w)) == 3
 
 
 class TestMkTest:

@@ -83,6 +83,12 @@ CASES = {
         0,
         {},
     ),
+    "components_cap": (
+        ["components", "--g1", "2", "--g2", "3", "--r", "3", "--chi", "5",
+         "--w1", "2/7"],
+        1,
+        {"NODAL_MODULI_MAX_CELLS": "3"},
+    ),
     "components_rank_too_small": (
         ["components", "--g1", "2", "--g2", "2", "--r", "1", "--chi", "1",
          "--w1", "1/2"],
@@ -142,6 +148,12 @@ CASES = {
          "--g1", "2", "--g2", "2"],
         1,
         {},
+    ),
+    "check_sufficiency_cap": (
+        ["check-sufficiency", "--r", "3", "--k", "2", "--chi1", "2", "--chi2", "4",
+         "--g1", "5", "--g2", "5"],
+        1,
+        {"NODAL_MODULI_MAX_CELLS": "47"},
     ),
     "check_sufficiency_genus_before_rank": (
         ["check-sufficiency", "--r", "1", "--k", "3", "--chi1", "0", "--chi2", "0",
