@@ -108,13 +108,12 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
             raise ValueError(
                 f"matrix must be square, got a row of length {len(row)} with {n} rows"
             )
-        entries = [x if type(x) is Fraction or type(x) is int else _exact(x) for x in row]
+        entries = [x if type(x) is int else _exact(x) for x in row]
         scale = math.lcm(*(e.denominator for e in entries))
         rows.append([e.numerator * (scale // e.denominator) for e in entries])
 
-    contents = [math.gcd(*column) for column in zip(*rows)]
-    if any(g > 1 for g in contents):
-        rows = [[a // g if g > 1 else a for a, g in zip(row, contents)] for row in rows]
+    contents = [math.gcd(*column) or 1 for column in zip(*rows)]
+    rows = [[a // g for a, g in zip(row, contents)] for row in rows]
     rows = [_primitive(row) for row in rows if any(row)]
 
     rank = 0
