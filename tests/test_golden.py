@@ -125,6 +125,42 @@ CASES = {
     "glue_missing_file": (
         ["glue", "--matrix", "missing.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
+    "glue_unreduced_cells": (
+        ["glue", "--matrix", "unreduced_cells.json", "--chi1", "2", "--chi2", "-1"], 0, {}
+    ),
+    "glue_int_cells": (
+        ["glue", "--matrix", "int_cells.json", "--chi1", "2", "--chi2", "-1"], 0, {}
+    ),
+    "glue_decimal_cell": (
+        ["glue", "--matrix", "decimal_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_zero_denominator": (
+        ["glue", "--matrix", "zero_denominator.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_bool_cell": (
+        ["glue", "--matrix", "bool_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_float_cell": (
+        ["glue", "--matrix", "float_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_ragged": (
+        ["glue", "--matrix", "ragged.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_two_by_three": (
+        ["glue", "--matrix", "two_by_three.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_one_by_two": (
+        ["glue", "--matrix", "one_by_two.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_not_array": (
+        ["glue", "--matrix", "not_array.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_row_not_array": (
+        ["glue", "--matrix", "row_not_array.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_malformed_json": (
+        ["glue", "--matrix", "malformed.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
     "check_sufficiency_default_weight": (
         ["check-sufficiency", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "2",
          "--g1", "2", "--g2", "2"],
@@ -210,3 +246,20 @@ def test_golden_output(name, capsys, monkeypatch):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
     if code == 2:
         assert err == (GOLDEN / f"{name}.err").read_bytes()
+
+
+# Inputs a case names on purpose without the file existing.
+ABSENT_INPUTS = {"missing.json"}
+
+
+def test_corpus_has_no_orphan_or_missing_files():
+    expected = set()
+    for name, (argv, code, _) in CASES.items():
+        expected.add(f"{name}.out")
+        if code == 2:
+            expected.add(f"{name}.err")
+        if "--matrix" in argv:
+            expected.add(argv[argv.index("--matrix") + 1])
+    present = {path.name for path in GOLDEN.iterdir()}
+    assert sorted(expected - ABSENT_INPUTS - present) == [], "missing golden files"
+    assert sorted(present - expected) == [], "golden files no case uses"
