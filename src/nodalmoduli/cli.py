@@ -23,7 +23,7 @@ from .feasibility import feasible_interval, region_cells
 from .gluing import GluingDatum, glued_class, parse_matrix
 from .moduli import (
     component_dimension,
-    enumerate_components,
+    component_rows,
     fixed_det_fiber_dimension,
     is_generic_for,
     projective_bundle_dimension,
@@ -34,8 +34,8 @@ from .stability import StabilityHypotheses, check_sufficiency, mk_semistable_tes
 MAX_CELLS_ENV = "NODAL_MODULI_MAX_CELLS"
 DEFAULT_MAX_CELLS = 10**6
 
-# Cells per write of a streamed region: enough to amortise the write, few
-# enough that memory stays flat in the size of the box.
+# Rows per write of a streamed region or component list: enough to amortise
+# the write, few enough that memory stays flat in the size of the output.
 REGION_BATCH = 1000
 
 # One region cell exactly as json.dumps(..., sort_keys=True, indent=2) lays it
@@ -53,6 +53,16 @@ _JSON_CELL = """\
         }
       }"""
 _JSON_BOOL = {False: "false", True: "true"}
+
+# One component, laid out the same way inside "components".
+_JSON_COMPONENT = """\
+      {
+        "chi1": %d,
+        "chi2": %d,
+        "d1": %d,
+        "d2": %d,
+        "dimension": %d
+      }"""
 
 
 def rational_arg(text: str):
@@ -86,10 +96,17 @@ def _emit(command: str, inputs: dict, outputs: dict, warnings: list[str]) -> Non
     print(_document(command, inputs, outputs, warnings))
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    sys.stdout.write(",".join(header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(row) + "\n")
+def _emit_streamed(
+    command: str, inputs: dict, outputs: dict, warnings: list[str], key: str, texts
+) -> None:
+    """Print the document whose outputs[key] is [] with the JSON texts
+    streamed into those brackets, REGION_BATCH at a time.  There must be at
+    least one text."""
+    text = _document(command, inputs, outputs, warnings)
+    head, _, tail = text.partition(f'"{key}": []')
+    sys.stdout.write(head + f'"{key}": [\n')
+    _write_joined(texts, ",\n")
+    sys.stdout.write("\n    ]" + tail + "\n")
 
 
 def _cmd_feasible(args) -> int:
@@ -167,15 +184,12 @@ def _cmd_region(args) -> int:
     }
     (lo1, hi1), (lo2, hi2) = args.chi1, args.chi2
     count = max(0, hi1 - lo1 + 1) * max(0, hi2 - lo2 + 1)
-    text = _document("region", inputs, {"cells": [], "count": count}, [])
+    outputs = {"cells": [], "count": count}
     if count == 0:
-        print(text)
+        _emit("region", inputs, outputs, [])
         return 0
-    # Stream the cells into the brackets of the document for no cells.
-    head, _, tail = text.partition('"cells": []')
-    sys.stdout.write(head + '"cells": [\n')
-    _write_joined(itertools.starmap(_json_cell, cells), ",\n")
-    sys.stdout.write("\n    ]" + tail + "\n")
+    cell_texts = itertools.starmap(_json_cell, cells)
+    _emit_streamed("region", inputs, outputs, [], "cells", cell_texts)
     return 0
 
 
@@ -183,19 +197,17 @@ def _cmd_components(args) -> int:
     _check_work(args.r + 1, "component enumeration of {} splittings")
     curve = NodalCurve(args.g1, args.g2)
     w = Polarization(args.w1, 1 - args.w1)
-    records = enumerate_components(curve, args.r, args.chi, w)
+    rows = component_rows(curve, args.r, args.chi, w)
+    generic = is_generic_for(args.chi, w)
     warnings = []
-    if not is_generic_for(args.chi, w):
+    if not generic:
         warnings.append(
             "non-generic polarization: window boundaries are integers, "
             "both boundary values included"
         )
     if args.format == "csv":
-        csv_rows = [
-            [str(rec.chi1), str(rec.chi2), str(rec.d1), str(rec.d2), str(rec.dimension)]
-            for rec in records
-        ]
-        _emit_csv(["chi1", "chi2", "d1", "d2", "dimension"], csv_rows)
+        sys.stdout.write("chi1,chi2,d1,d2,dimension\n")
+        _write_joined(("%d,%d,%d,%d,%d\n" % row for row in rows), "")
         return 0
     inputs = {
         "g1": str(args.g1),
@@ -204,11 +216,10 @@ def _cmd_components(args) -> int:
         "chi": str(args.chi),
         "w1": format_rational(args.w1),
     }
-    outputs = {
-        "components": [rec.to_json() for rec in records],
-        "count": len(records),
-    }
-    _emit("components", inputs, outputs, warnings)
+    # r rows, or r + 1 when both window boundaries are integers.
+    outputs = {"components": [], "count": args.r + (not generic)}
+    component_texts = (_JSON_COMPONENT % row for row in rows)
+    _emit_streamed("components", inputs, outputs, warnings, "components", component_texts)
     return 0
 
 
@@ -216,6 +227,7 @@ def _cmd_glue(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     sigma = parse_matrix(raw)
+    _check_work(len(sigma) ** 3, "rank elimination of {} entry updates")
     datum = GluingDatum(r=len(sigma), k=None, chi1=args.chi1, chi2=args.chi2, sigma=sigma)
     sheaf, stalk, is_bundle = glued_class(datum)
     inputs = {

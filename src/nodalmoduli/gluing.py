@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curves import SheafClass
-from .rationals import parse_rational
+from .rationals import parse_ratio
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[Fraction | int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ def validate_ranks(r: int, k: int | None = None) -> None:
         raise ValueError(f"fiber-map rank must satisfy 1 <= k <= r, got k={k}, r={r}")
 
 
-def _exact(x: object) -> Fraction:
-    """A matrix entry as an exact rational.  A float is refused: its binary
-    value is not the decimal it was written as, so it would decide a rank by
-    rounding."""
-    if type(x) is Fraction:
+def _exact(x: object) -> Fraction | int:
+    """A matrix entry as an exact rational; an int or a Fraction is kept as
+    it is.  A float is refused: its binary value is not the decimal it was
+    written as, so it would decide a rank by rounding."""
+    if type(x) is int or type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise ValueError(f"matrix entries must be exact rationals, got the float {x!r}")
@@ -91,9 +91,9 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
     Each entry is converted once (ints and Fractions as they are, floats
-    refused) and each row is scaled by the lcm of its denominators to
-    integers.  Each column and then each row is divided by the gcd of its
-    entries; nonzero scaling does not change the rank, and it keeps the
+    refused), and each row that is not all ints is scaled by the lcm of its
+    denominators to integers.  Each column and then each row is divided by
+    the gcd of its entries; nonzero scaling does not change the rank, and it keeps the
     integers that elimination multiplies small.  The pivot is the first
     nonzero entry of the column among the rows not yet used; rows that
     become zero are dropped, and every later division is exact.  Requires a
@@ -102,13 +102,16 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     n = len(matrix)
     if n == 0:
         raise ValueError("matrix must be nonempty")
-    rows: list[list[int]] = []
+    rows: list[Sequence[int]] = []
     for row in matrix:
         if len(row) != n:
             raise ValueError(
                 f"matrix must be square, got a row of length {len(row)} with {n} rows"
             )
-        entries = [x if type(x) is int else _exact(x) for x in row]
+        if all(type(x) is int for x in row):
+            rows.append(row)
+            continue
+        entries = [_exact(x) for x in row]
         scale = math.lcm(*(e.denominator for e in entries))
         rows.append([e.numerator * (scale // e.denominator) for e in entries])
 
@@ -169,24 +172,32 @@ def canonical_subsheaves(u: GluingDatum) -> tuple[SheafClass, SheafClass]:
     return k1, k2
 
 
-def parse_matrix(data: object) -> Matrix:
+def parse_matrix(data: object) -> tuple[tuple[int, ...], ...]:
     """Decode a matrix from parsed JSON: a list of rows whose entries are
-    "p/q" strings (or plain integers)."""
+    "p/q" strings (or plain integers).
+
+    Row i is returned as integers: the file's row i times the lcm of the
+    denominators written in it.  Scaling a row by a nonzero number keeps the
+    rank and the row space, and the rank is all that is read from sigma.
+    """
     if not isinstance(data, list) or not data:
         raise ValueError("matrix JSON must be a nonempty array of rows")
     rows = []
     for row in data:
         if not isinstance(row, list):
             raise ValueError("matrix JSON rows must be arrays")
-        entries = []
+        nums, dens = [], []
         for cell in row:
             if isinstance(cell, str):
-                entries.append(parse_rational(cell))
+                num, den = parse_ratio(cell)
             elif isinstance(cell, int) and not isinstance(cell, bool):
-                entries.append(Fraction(cell))
+                num, den = cell, 1
             else:
                 raise ValueError(f"matrix entries must be 'p/q' strings, got {cell!r}")
-        rows.append(tuple(entries))
+            nums.append(num)
+            dens.append(den)
+        scale = math.lcm(*dens)
+        rows.append(tuple([num * (scale // den) for num, den in zip(nums, dens)]))
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("matrix rows must all have the same length")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .curves import NodalCurve, Polarization, chi_to_degree, dim_moduli_smooth
 from .gluing import validate_ranks
@@ -67,28 +68,36 @@ def is_generic_for(chi: int, w: Polarization) -> bool:
     return (chi * w.w1).denominator != 1
 
 
-def enumerate_components(
+def component_rows(
     c: NodalCurve, r: int, chi: int, w: Polarization
-) -> list[ComponentRecord]:
-    """All components: splittings chi1 + chi2 = chi + r inside both windows
-    w_i chi <= chi_i <= w_i chi + r, sorted by chi1 ascending.  As w2 = 1 - w1,
-    the second window holds exactly when the first does.
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """(chi1, chi2, d1, d2, dimension) of every component, lazily and sorted
+    by chi1 ascending: the splittings chi1 + chi2 = chi + r inside both
+    windows w_i chi <= chi_i <= w_i chi + r.  As w2 = 1 - w1, the second
+    window holds exactly when the first does.  r is checked at the call.
 
     Both boundary values are included when w_i chi is an integer; that is
-    the non-generic case :func:`is_generic_for` detects.
+    the non-generic case :func:`is_generic_for` detects, with r + 1 rows
+    instead of r.
     """
     validate_ranks(r)
     low1 = chi * w.w1
-    records = []
-    for chi1 in range(math.ceil(low1), math.floor(low1 + r) + 1):
-        chi2 = chi + r - chi1
-        records.append(
-            ComponentRecord(
-                chi1=chi1,
-                chi2=chi2,
-                d1=chi_to_degree(chi1, r, c.g1),
-                d2=chi_to_degree(chi2, r, c.g2),
-                dimension=component_dimension(c, r),
-            )
+    dimension = component_dimension(c, r)
+    return (
+        (
+            chi1,
+            chi + r - chi1,
+            chi_to_degree(chi1, r, c.g1),
+            chi_to_degree(chi + r - chi1, r, c.g2),
+            dimension,
         )
-    return records
+        for chi1 in range(math.ceil(low1), math.floor(low1 + r) + 1)
+    )
+
+
+def enumerate_components(
+    c: NodalCurve, r: int, chi: int, w: Polarization
+) -> list[ComponentRecord]:
+    """All components, one per row of :func:`component_rows`, sorted by chi1
+    ascending."""
+    return [ComponentRecord(*row) for row in component_rows(c, r, chi, w)]

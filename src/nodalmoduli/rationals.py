@@ -22,22 +22,29 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "p/q" or "p" into the integer pair (p, q), q = 1 for "p".  The
+    package's one "p/q" decoder.
 
-    The denominator, when present, must be a positive integer literal.
-    Decimal notation is rejected rather than rounded.
+    Surrounding whitespace is ignored.  The denominator, when present, must
+    be a positive integer literal; the pair is returned as written, not
+    reduced.  Decimal notation is rejected rather than rounded.
     """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational 'p/q' or 'p' string: {text!r}")
     numerator = int(m.group(1))
     if m.group(2) is None:
-        return Fraction(numerator)
+        return numerator, 1
     denominator = int(m.group(2))
     if denominator == 0:
         raise ValueError(f"zero denominator in rational string: {text!r}")
-    return Fraction(numerator, denominator)
+    return numerator, denominator
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" into an exact rational; see :func:`parse_ratio`."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_ratio(num: int, den: int) -> str:

@@ -14,6 +14,7 @@ import nodalmoduli
 from nodalmoduli.cli import main
 from nodalmoduli.curves import NodalCurve, Polarization
 from nodalmoduli.feasibility import feasible_interval
+from nodalmoduli.gluing import GluingDatum, matrix_rank
 from nodalmoduli.moduli import enumerate_components
 from nodalmoduli.rationals import RationalInterval, format_rational
 from nodalmoduli.stability import StabilityHypotheses, check_sufficiency
@@ -350,6 +351,89 @@ def test_closed_pipe_ends_quietly():
     assert code == 1
 
 
+def whole_components_output(g1, g2, r, chi, w1, fmt):
+    """The components output built from enumerate_components with every
+    record in memory: one json.dumps document, or every CSV row."""
+    w = Polarization(w1, 1 - w1)
+    records = enumerate_components(NodalCurve(g1, g2), r, chi, w)
+    if fmt == "csv":
+        lines = ["chi1,chi2,d1,d2,dimension"] + [
+            f"{rec.chi1},{rec.chi2},{rec.d1},{rec.d2},{rec.dimension}" for rec in records
+        ]
+        return "".join(line + "\n" for line in lines)
+    warnings = []
+    if (chi * w1).denominator == 1:
+        warnings.append(
+            "non-generic polarization: window boundaries are integers, "
+            "both boundary values included"
+        )
+    doc = {
+        "command": "components",
+        "inputs": {
+            "g1": str(g1), "g2": str(g2), "r": str(r), "chi": str(chi),
+            "w1": format_rational(w1),
+        },
+        "outputs": {
+            "components": [rec.to_json() for rec in records],
+            "count": len(records),
+        },
+        "warnings": warnings,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _seeded_component_cases(n):
+    """n seeded (g1, g2, r, chi, w1), about a third of them at a non-generic
+    weight (w1 chi an integer), plus ranks around the write batch."""
+    rng = random.Random(1903)
+    for _ in range(n):
+        den = rng.randint(2, 13)
+        w1 = Fraction(rng.randint(1, den - 1), den)
+        if rng.random() < 0.35:
+            chi = den * rng.randint(-6, 6)
+        else:
+            chi = rng.randint(-60, 60)
+        yield rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 40), chi, w1
+    for r in (999, 1000, 1001, 1999, 2000):
+        yield 2, 3, r, 0, Fraction(1, 2)
+        yield 2, 3, r, 7, Fraction(1, 3)
+
+
+class TestComponentsStreaming:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bytes_match_the_whole_document_output(self, capsys, fmt):
+        cases = list(_seeded_component_cases(200))
+        non_generic = 0
+        for g1, g2, r, chi, w1 in cases:
+            code, out, _ = run(
+                capsys, "components", "--g1", str(g1), "--g2", str(g2), "--r", str(r),
+                "--chi", str(chi), "--w1", format_rational(w1), "--format", fmt,
+            )
+            assert code == 0
+            assert out == whole_components_output(g1, g2, r, chi, w1, fmt), (
+                g1, g2, r, chi, w1,
+            )
+            non_generic += (chi * w1).denominator == 1
+        assert 40 < non_generic < len(cases) - 40
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_stays_flat(self, fmt):
+        class NullSink:
+            def write(self, text):
+                return len(text)
+
+        argv = ["components", "--g1", "2", "--g2", "3", "--r", "100000", "--chi", "7",
+                "--w1", "1/3", "--format", fmt]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(NullSink()):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+
 class TestComponents:
     def test_json(self, capsys):
         doc = run_json(
@@ -436,8 +520,11 @@ class TestWorkCaps:
              "--g1", "5", "--g2", "5")
     COMPONENTS = ("components", "--g1", "2", "--g2", "3", "--r", "3", "--chi", "5",
                   "--w1", "2/7")
+    # ... and the n^3 entry updates of glue's rank elimination.
+    GLUE = ("glue", "--matrix", str(GOLDEN / "degenerate.json"), "--chi1", "3",
+            "--chi2", "1")
 
-    @pytest.mark.parametrize("argv, units", [(SWEEP, 48), (COMPONENTS, 4)])
+    @pytest.mark.parametrize("argv, units", [(SWEEP, 48), (COMPONENTS, 4), (GLUE, 8)])
     def test_work_at_the_cap_runs_and_above_it_is_refused(
         self, capsys, monkeypatch, argv, units
     ):
@@ -450,7 +537,7 @@ class TestWorkCaps:
         assert f" of {units} " in message
         assert message.endswith(f"exceeds the cap of {units - 1}")
 
-    @pytest.mark.parametrize("argv", [SWEEP, COMPONENTS])
+    @pytest.mark.parametrize("argv", [SWEEP, COMPONENTS, GLUE])
     def test_bad_cap_value(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", "lots")
         code, out, _ = run(capsys, *argv)
@@ -463,6 +550,8 @@ class TestWorkCaps:
         assert check_sufficiency(h, feasible_interval(3, 2, 2, 4).sample)[0]
         w = Polarization(Fraction(2, 7), Fraction(5, 7))
         assert len(enumerate_components(NodalCurve(2, 3), 3, 5, w)) == 3
+        assert matrix_rank([[1, 0], [0, 1]]) == 2
+        assert GluingDatum(2, None, 0, 0, sigma=[[1, 0], [0, 1]]).k == 2
 
 
 class TestMkTest:

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -101,6 +102,33 @@ def _known_rank_cases(rng: random.Random, n: int):
     for rank, m in ((n, n), (n - 1, n), (n - 1, n - 1), (small, n), (small, max(small, n - 2))):
         matrix, _, _ = _scaled_matrix(rng, n, _rank_t_core(rng, m, rank))
         yield matrix, rank
+
+
+def _as_cells(rng: random.Random, matrix):
+    """The matrix as JSON cells, and the denominator written in each cell.
+    Integer entries are sometimes plain JSON ints; the rest are "p/q" or "p"
+    strings, sometimes unreduced, with a "+" sign or padded by spaces."""
+    cells, dens = [], []
+    for row in matrix:
+        cell_row, den_row = [], []
+        for x in row:
+            x = Fraction(x)
+            if x.denominator == 1 and rng.random() < 0.3:
+                cell_row.append(x.numerator)
+                den_row.append(1)
+                continue
+            m = rng.choice((1, 1, 2, 3, 10))
+            p, q = x.numerator * m, x.denominator * m
+            text = f"{p}" if q == 1 else f"{p}/{q}"
+            if p >= 0 and rng.random() < 0.2:
+                text = "+" + text
+            if rng.random() < 0.2:
+                text = f" {text}  "
+            cell_row.append(text)
+            den_row.append(q)
+        cells.append(cell_row)
+        dens.append(den_row)
+    return cells, dens
 
 
 def _sympy_rank(sympy, matrix) -> int:
@@ -273,8 +301,46 @@ class TestCanonicalSubsheaves:
 
 class TestParseMatrix:
     def test_strings_and_ints(self):
+        # Each row is scaled by the lcm of its denominators: 2, then 4.
         got = parse_matrix([["1/2", 1], ["-3/4", "2"]])
-        assert got == ((Fraction(1, 2), Fraction(1)), (Fraction(-3, 4), Fraction(2)))
+        assert got == ((1, 2), (-3, 8))
+
+    def test_rows_are_lcm_scaled_fraction_rows(self):
+        rng = random.Random(64)
+        for n in (1, 2, 3, 5, 8, 13):
+            for matrix, _ in _known_rank_cases(rng, n):
+                cells, dens = _as_cells(rng, matrix)
+                want = []
+                for row, den_row in zip(matrix, dens):
+                    scale = math.lcm(*den_row)
+                    scaled = [Fraction(x) * scale for x in row]
+                    assert all(x.denominator == 1 for x in scaled)
+                    want.append(tuple(x.numerator for x in scaled))
+                got = parse_matrix(cells)
+                assert got == tuple(want)
+                assert all(type(x) is int for row in got for x in row)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 24, 48, 64])
+    def test_rank_of_parsed_cells(self, n):
+        rng = random.Random(7000 + n)
+        for matrix, rank in _known_rank_cases(rng, n):
+            sigma = parse_matrix(_as_cells(rng, matrix)[0])
+            assert matrix_rank(sigma) == rank
+            if n >= 2:
+                datum = GluingDatum(n, None, 0, 0, sigma=sigma)
+                assert datum.k == rank
+                assert datum.sigma == sigma
+                assert all(type(x) is int for row in datum.sigma for x in row)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [("1/0", "zero denominator in rational string: '1/0'"),
+         ("1_0", "not a rational 'p/q' or 'p' string: '1_0'")],
+    )
+    def test_bad_cell_strings_rejected(self, cell, message):
+        with pytest.raises(ValueError) as info:
+            parse_matrix([["1", "0"], ["0", cell]])
+        assert str(info.value) == message
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,11 @@ CASES = {
     "glue_rank_one_matrix": (
         ["glue", "--matrix", "one_by_one.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
+    "glue_cap": (
+        ["glue", "--matrix", "identity.json", "--chi1", "1", "--chi2", "1"],
+        1,
+        {"NODAL_MODULI_MAX_CELLS": "7"},
+    ),
     "glue_missing_file": (
         ["glue", "--matrix", "missing.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),

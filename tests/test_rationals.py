@@ -8,7 +8,21 @@ from nodalmoduli.rationals import (
     RationalInterval,
     format_ratio,
     format_rational,
+    parse_ratio,
     parse_rational,
+)
+
+# Well-formed "p/q" or "p" strings, unreduced, signed and padded, and
+# strings from the characters such strings are made of.
+RATIO_TEXT = st.one_of(
+    st.builds(
+        lambda pad, sign, p, q: f"{pad}{sign}{p}{'' if q is None else f'/{q}'}{pad}",
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 10**12),
+        st.none() | st.integers(0, 10**12),
+    ),
+    st.text(alphabet="0123456789+-/ ._e\n", max_size=12),
 )
 
 
@@ -29,11 +43,33 @@ class TestRationalArithmetic:
             Fraction(1, 2) / Fraction(0)
 
     @pytest.mark.parametrize(
-        "text", ["0.5", "", "1/0", "1/-2", "a/b", "1 / 2", "1//2", "+/3"]
+        "text", ["0.5", "", "1/0", "1/-2", "a/b", "1 / 2", "1//2", "+/3", "1_0"]
     )
     def test_parse_rejects_garbage(self, text):
+        # "1_0" would pass int(); "1/0" would pass the pattern.
         with pytest.raises(ValueError):
             parse_rational(text)
+        with pytest.raises(ValueError):
+            parse_ratio(text)
+
+    def test_parse_ratio_keeps_the_pair_as_written(self):
+        assert parse_ratio("2/4") == (2, 4)
+        assert parse_ratio(" -6/3 ") == (-6, 3)
+        assert parse_ratio("+7") == (7, 1)
+        assert parse_ratio("0/5") == (0, 5)
+
+    @given(RATIO_TEXT)
+    def test_parse_ratio_agrees_with_parse_rational(self, text):
+        try:
+            want = parse_rational(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                parse_ratio(text)
+            assert str(info.value) == str(exc)
+            return
+        num, den = parse_ratio(text)
+        assert den > 0
+        assert Fraction(num, den) == want
 
     def test_format(self):
         assert format_rational(Fraction(3, 1)) == "3"
