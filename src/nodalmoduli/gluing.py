@@ -93,8 +93,8 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     Each entry is converted once (ints and Fractions as they are, floats
     refused), and each row that is not all ints is scaled by the lcm of its
     denominators to integers.  Each column and then each row is divided by
-    the gcd of its entries; nonzero scaling does not change the rank, and it keeps the
-    integers that elimination multiplies small.  The pivot is the first
+    the gcd of its entries; nonzero scaling does not change the rank, and
+    it keeps the integers that elimination multiplies small.  The pivot is the first
     nonzero entry of the column among the rows not yet used; rows that
     become zero are dropped, and every later division is exact.  Requires a
     square matrix, which is left unchanged.

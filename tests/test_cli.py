@@ -223,6 +223,22 @@ def whole_box_output(r, k, chi1_range, chi2_range, fmt):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def traced_peak(argv) -> int:
+    """Peak traced allocation, in bytes, of a successful CLI run writing to a
+    sink that keeps nothing."""
+    class NullSink:
+        def write(self, text):
+            return len(text)
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(NullSink()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _seeded_boxes(n):
     """n boxes of up to 16 x 16 cells, seeded; negative starts, empty and
     one-cell ranges and boxes across chi = 0 all occur."""
@@ -276,19 +292,9 @@ class TestRegionStreaming:
         ids=["1x100000", "100000x1", "316x316"],
     )
     def test_memory_stays_flat(self, fmt, chi1, chi2):
-        class NullSink:
-            def write(self, text):
-                return len(text)
-
         argv = ["region", "--r", "3", "--k", "2", f"--chi1={chi1}", f"--chi2={chi2}",
                 "--format", fmt]
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(NullSink()):
-                assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(argv)
         assert peak < 2 * 2**20, peak
 
     @pytest.mark.parametrize(
@@ -418,19 +424,9 @@ class TestComponentsStreaming:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_memory_stays_flat(self, fmt):
-        class NullSink:
-            def write(self, text):
-                return len(text)
-
         argv = ["components", "--g1", "2", "--g2", "3", "--r", "100000", "--chi", "7",
                 "--w1", "1/3", "--format", fmt]
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(NullSink()):
-                assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(argv)
         assert peak < 2 * 2**20, peak
 
 
