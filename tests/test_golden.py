@@ -127,6 +127,11 @@ CASES = {
         1,
         {"NODAL_MODULI_MAX_CELLS": "7"},
     ),
+    "glue_cap_ragged": (
+        ["glue", "--matrix", "ragged.json", "--chi1", "0", "--chi2", "0"],
+        1,
+        {"NODAL_MODULI_MAX_CELLS": "7"},
+    ),
     "glue_missing_file": (
         ["glue", "--matrix", "missing.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
