@@ -12,6 +12,7 @@ Exit codes: 0 success; 1 domain error (structured error JSON on stdout);
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -223,11 +224,20 @@ def _cmd_components(args) -> int:
     return 0
 
 
-def _cmd_glue(args) -> int:
-    with open(args.matrix, "r", encoding="utf-8") as fh:
+def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
+    """The matrix in the JSON file at path, as parse_matrix's integer rows.
+    An array of n rows is refused when its n^3 elimination updates exceed
+    the cap, before any cell is decoded.  The decoded JSON dies on return,
+    so it is not held while the rank is eliminated."""
+    with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    sigma = parse_matrix(raw)
-    _check_work(len(sigma) ** 3, "rank elimination of {} entry updates")
+    if isinstance(raw, list):
+        _check_work(len(raw) ** 3, "rank elimination of {} entry updates")
+    return parse_matrix(raw)
+
+
+def _cmd_glue(args) -> int:
+    sigma = _read_sigma(args.matrix)
     datum = GluingDatum(r=len(sigma), k=None, chi1=args.chi1, chi2=args.chi2, sigma=sigma)
     sheaf, stalk, is_bundle = glued_class(datum)
     inputs = {
@@ -314,7 +324,12 @@ def _cmd_mk_test(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.  Reusing it is safe:
+    parse_args reads the parser and fills a fresh Namespace, every default
+    here is immutable, and usage text is formatted (at the COLUMNS of that
+    moment) only when it is printed."""
     parser = argparse.ArgumentParser(
         prog="nodalmoduli",
         description="Exact feasibility and moduli invariants for sheaves glued "

@@ -96,8 +96,10 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     the gcd of its entries; nonzero scaling does not change the rank, and
     it keeps the integers that elimination multiplies small.  The pivot is the first
     nonzero entry of the column among the rows not yet used; rows that
-    become zero are dropped, and every later division is exact.  Requires a
-    square matrix, which is left unchanged.
+    become zero are dropped, and every later division is exact.  A row with
+    a zero in the pivot column only has its tail rescaled, by lead/prev.
+    Each old row is freed as its update is built.  Requires a square matrix,
+    which is left unchanged.
     """
     n = len(matrix)
     if n == 0:
@@ -116,8 +118,7 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         rows.append([e.numerator * (scale // e.denominator) for e in entries])
 
     contents = [math.gcd(*column) or 1 for column in zip(*rows)]
-    rows = [[a // g for a, g in zip(row, contents)] for row in rows]
-    rows = [_primitive(row) for row in rows if any(row)]
+    rows = [_primitive([a // g for a, g in zip(row, contents)]) for row in rows if any(row)]
 
     rank = 0
     prev = 1
@@ -129,9 +130,19 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         pivot_row = rows.pop(pivot)
         lead = pivot_row[0]
         pivot_tail = pivot_row[1:]
+        rows.reverse()  # popped from the end, the rows come in their order
         updated = []
-        for row in rows:
+        while rows:
+            row = rows.pop()
             factor = row[0]
+            if not factor:
+                # The update without its zero term; the tail of a nonzero
+                # row with a zero lead is nonzero, so the row stays.
+                if lead == prev:
+                    updated.append(row[1:])
+                else:
+                    updated.append([a * lead // prev for a in row[1:]])
+                continue
             new = [(a * lead - factor * b) // prev for a, b in zip(row[1:], pivot_tail)]
             if any(new):
                 updated.append(new)

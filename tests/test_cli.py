@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import gc
 import json
 import os
 import random
@@ -11,14 +13,16 @@ from pathlib import Path
 import pytest
 
 import nodalmoduli
-from nodalmoduli.cli import main
+from nodalmoduli import cli
+from nodalmoduli.cli import build_parser, main
 from nodalmoduli.curves import NodalCurve, Polarization
 from nodalmoduli.feasibility import feasible_interval
 from nodalmoduli.gluing import GluingDatum, matrix_rank
 from nodalmoduli.moduli import enumerate_components
 from nodalmoduli.rationals import RationalInterval, format_rational
 from nodalmoduli.stability import StabilityHypotheses, check_sufficiency
-from test_golden import GOLDEN
+from test_gluing import _rank_t_core, _scaled_matrix
+from test_golden import CASES, GOLDEN, run_case
 
 
 def run(capsys, *argv):
@@ -116,6 +120,21 @@ class TestGlue:
             capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
         )
         assert code == 1
+
+    def test_warm_64x64_request_keeps_one_matrix_copy(self, capsys, tmp_path):
+        # A corank-1 matrix of "p/q" cells.  The decoded JSON (about 0.3 MB of
+        # cell strings) must be gone before elimination; with it alive the
+        # peak is about 0.65 MB, without it about 0.38 MB.
+        rng = random.Random(64)
+        matrix, _, _ = _scaled_matrix(rng, 64, _rank_t_core(rng, 64, 63))
+        cells = [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row]
+                 for row in matrix]
+        path = tmp_path / "corank1.json"
+        path.write_text(json.dumps(cells))
+        argv = ["glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"]
+        assert run_json(capsys, *argv)["outputs"]["k"] == 63
+        peak = traced_peak(argv)
+        assert peak < 500_000, peak
 
 
 class TestRegion:
@@ -548,6 +567,66 @@ class TestWorkCaps:
         assert len(enumerate_components(NodalCurve(2, 3), 3, 5, w)) == 3
         assert matrix_rank([[1, 0], [0, 1]]) == 2
         assert GluingDatum(2, None, 0, 0, sigma=[[1, 0], [0, 1]]).k == 2
+
+
+class TestParserReuse:
+    # build_parser is cached: every in-process main call shares one parser.
+    GLUE = ["glue", "--matrix", str(GOLDEN / "scaled_rank7.json"), "--chi1", "2",
+            "--chi2", "-3"]
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_reproduces_the_golden_corpus(self, capsys, monkeypatch):
+        build_parser.cache_clear()
+        assert run(capsys, "feasible", "--r", "2")[0] == 2
+        assert run(capsys, "feasible", "--r", "2", "--k", "5", "--chi1", "0",
+                   "--chi2", "0")[0] == 1
+        for name in sorted(CASES, reverse=True) * 2:
+            code, out, err = run_case(name, capsys, monkeypatch)
+            assert code == CASES[name][1], name
+            assert out == (GOLDEN / f"{name}.out").read_bytes(), name
+            if code == 2:
+                assert err == (GOLDEN / f"{name}.err").read_bytes(), name
+
+    def test_usage_text_follows_columns_at_print_time(self, capsys, monkeypatch):
+        argv = ["region", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "0:1"]
+        errors = {}
+        for columns in ("30", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            with pytest.raises(SystemExit):
+                build_parser.__wrapped__().parse_args(argv)
+            assert capsys.readouterr().err == err
+            errors[columns] = err
+        assert errors["30"] != errors["200"]
+
+    def _new_live_parsers(self, capsys):
+        """ArgumentParser objects left alive by 100 glue calls with the
+        cyclic collector off."""
+        def live():
+            return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+        assert run(capsys, *self.GLUE)[0] == 0
+        gc.collect()
+        before = live()
+        gc.disable()
+        try:
+            for _ in range(100):
+                assert main(self.GLUE) == 0
+            after = live()
+        finally:
+            gc.enable()
+            capsys.readouterr()
+        return after - before
+
+    def test_glue_calls_leave_no_parser_behind(self, capsys):
+        assert self._new_live_parsers(capsys) == 0
+
+    def test_negative_control_uncached_parser_is_left_behind(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert self._new_live_parsers(capsys) >= 100
 
 
 class TestMkTest:

@@ -104,6 +104,34 @@ def _known_rank_cases(rng: random.Random, n: int):
         yield matrix, rank
 
 
+def _zero_factor_cases(rng: random.Random, n: int):
+    """(matrix, rank) pairs whose elimination meets many rows with a zero in
+    the pivot column: a block-diagonal matrix of rank-t cores, the same with
+    its rows shuffled and with its rows and columns scaled, U diag(d) with U
+    unit upper triangular, and a core behind leading zero columns."""
+    block = [[0] * n for _ in range(n)]
+    rank = at = 0
+    while at < n:
+        m = rng.randint(1, min(n - at, 4))
+        t = rng.randint(0, m)
+        for i, row in enumerate(_rank_t_core(rng, m, t)):
+            block[at + i][at : at + m] = row
+        rank += t
+        at += m
+    yield block, rank
+    yield rng.sample(block, n), rank
+    yield _scaled_matrix(rng, n, block)[0], rank
+    d = [rng.choice((-2, -1, 1, 1, 1, 2)) if rng.random() < 0.8 else 0 for _ in range(n)]
+    upper = [[d[j] * (rng.randint(-2, 2) if j > i else int(i == j)) for j in range(n)]
+             for i in range(n)]
+    yield upper, sum(map(bool, d))
+    if n > 1:
+        c = rng.randint(1, n - 1)
+        t = rng.randint(0, n - c)
+        shifted = [[0] * c + row for row in _rank_t_core(rng, n - c, t)]
+        yield rng.sample(shifted + [[0] * n] * c, n), t
+
+
 def _as_cells(rng: random.Random, matrix):
     """The matrix as JSON cells, and the denominator written in each cell.
     Integer entries are sometimes plain JSON ints; the rest are "p/q" or "p"
@@ -198,6 +226,20 @@ class TestMatrixRank:
         i, j = row_at[-1], col_at[-1]
         m[i][j] += Fraction(1, 7)
         assert matrix_rank(m) == n
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 24, 48, 64])
+    def test_zero_factor_rows_by_construction(self, n):
+        rng = random.Random(11000 + n)
+        for _ in range(3 if n <= 12 else 1):
+            for m, rank in _zero_factor_cases(rng, n):
+                assert matrix_rank(m) == rank, m
+
+    def test_zero_factor_rows_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(12000)
+        for n in [*range(1, 13), 24]:
+            for m, _ in _zero_factor_cases(rng, n):
+                assert matrix_rank(m) == _sympy_rank(sympy, m), m
 
     def test_argument_is_not_mutated(self):
         rng = random.Random(5)
