@@ -98,8 +98,7 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     nonzero entry of the column among the rows not yet used; rows that
     become zero are dropped, and every later division is exact.  A row with
     a zero in the pivot column only has its tail rescaled, by lead/prev.
-    Each old row is freed as its update is built.  Requires a square matrix,
-    which is left unchanged.
+    Requires a square matrix, which is left unchanged.
     """
     n = len(matrix)
     if n == 0:
@@ -118,7 +117,8 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         rows.append([e.numerator * (scale // e.denominator) for e in entries])
 
     contents = [math.gcd(*column) or 1 for column in zip(*rows)]
-    rows = [_primitive([a // g for a, g in zip(row, contents)]) for row in rows if any(row)]
+    rows = [[a // g for a, g in zip(row, contents)] for row in rows]
+    rows = [_primitive(row) for row in rows if any(row)]
 
     rank = 0
     prev = 1
@@ -130,23 +130,18 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         pivot_row = rows.pop(pivot)
         lead = pivot_row[0]
         pivot_tail = pivot_row[1:]
-        rows.reverse()  # popped from the end, the rows come in their order
-        updated = []
-        while rows:
-            row = rows.pop()
+        # In place, so each old row is freed as soon as its update is built.
+        for i, row in enumerate(rows):
             factor = row[0]
-            if not factor:
-                # The update without its zero term; the tail of a nonzero
-                # row with a zero lead is nonzero, so the row stays.
-                if lead == prev:
-                    updated.append(row[1:])
-                else:
-                    updated.append([a * lead // prev for a in row[1:]])
-                continue
-            new = [(a * lead - factor * b) // prev for a, b in zip(row[1:], pivot_tail)]
-            if any(new):
-                updated.append(new)
-        rows = updated
+            if factor:
+                rows[i] = [
+                    (a * lead - factor * b) // prev for a, b in zip(row[1:], pivot_tail)
+                ]
+            elif lead != prev:
+                rows[i] = [a * lead // prev for a in row[1:]]
+            else:
+                rows[i] = row[1:]
+        rows = list(filter(any, rows))
         prev = lead
         rank += 1
     return rank
