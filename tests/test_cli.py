@@ -122,9 +122,10 @@ class TestGlue:
         assert code == 1
 
     def test_warm_64x64_request_keeps_one_matrix_copy(self, capsys, tmp_path):
-        # A corank-1 matrix of "p/q" cells.  The decoded JSON (about 0.3 MB of
-        # cell strings) must be gone before elimination; with it alive the
-        # peak is about 0.65 MB, without it about 0.38 MB.
+        # A corank-1 matrix of "p/q" cells; the peak is about 0.45 MB.  Keeping
+        # the decoded JSON (about 0.27 MB of cell strings) alive through the
+        # elimination, or a second copy of the rows per elimination step,
+        # takes it over 0.5 MB.
         rng = random.Random(64)
         matrix, _, _ = _scaled_matrix(rng, 64, _rank_t_core(rng, 64, 63))
         cells = [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row]
