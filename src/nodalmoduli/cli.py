@@ -39,31 +39,7 @@ DEFAULT_MAX_CELLS = 10**6
 # the write, few enough that memory stays flat in the size of the output.
 REGION_BATCH = 1000
 
-# One region cell exactly as json.dumps(..., sort_keys=True, indent=2) lays it
-# out inside "cells"; an empty interval is written as the open (0, 0).
-_JSON_CELL = """\
-      {
-        "chi1": %d,
-        "chi2": %d,
-        "feasible": %s,
-        "w1_interval": {
-          "lower": "%s",
-          "lower_open": %s,
-          "upper": "%s",
-          "upper_open": %s
-        }
-      }"""
 _JSON_BOOL = {False: "false", True: "true"}
-
-# One component, laid out the same way inside "components".
-_JSON_COMPONENT = """\
-      {
-        "chi1": %d,
-        "chi2": %d,
-        "d1": %d,
-        "d2": %d,
-        "dimension": %d
-      }"""
 
 
 def rational_arg(text: str):
@@ -122,25 +98,66 @@ def _cmd_feasible(args) -> int:
     return 0
 
 
-def _json_cell(chi1: int, chi2: int, bounds) -> str:
-    if bounds is None:
-        return _JSON_CELL % (chi1, chi2, "false", "0", "true", "0", "true")
-    lo, hi, den, lo_open, hi_open = bounds
-    return _JSON_CELL % (
-        chi1, chi2, "true",
-        format_ratio(lo, den), _JSON_BOOL[lo_open],
-        format_ratio(hi, den), _JSON_BOOL[hi_open],
-    )
+def _json_cells(cells):
+    """The text of each region cell (chi1, chi2, bounds), laid out exactly as
+    json.dumps(..., sort_keys=True, indent=2) lays it out inside "cells"; an
+    empty interval is written as the open (0, 0)."""
+    for chi1, chi2, bounds in cells:
+        if bounds is None:
+            feasible, lower, lower_open, upper, upper_open = (
+                "false", "0", "true", "0", "true"
+            )
+        else:
+            lo, hi, den, lo_open, hi_open = bounds
+            feasible = "true"
+            lower, lower_open = format_ratio(lo, den), _JSON_BOOL[lo_open]
+            upper, upper_open = format_ratio(hi, den), _JSON_BOOL[hi_open]
+        yield f"""\
+      {{
+        "chi1": {chi1},
+        "chi2": {chi2},
+        "feasible": {feasible},
+        "w1_interval": {{
+          "lower": "{lower}",
+          "lower_open": {lower_open},
+          "upper": "{upper}",
+          "upper_open": {upper_open}
+        }}
+      }}"""
 
 
-def _csv_row(chi1: int, chi2: int, bounds) -> str:
-    if bounds is None:
-        return f"{chi1},{chi2},false,,,,\n"
-    lo, hi, den, lo_open, hi_open = bounds
-    return (
-        f"{chi1},{chi2},true,{format_ratio(lo, den)},{format_ratio(hi, den)},"
-        f"{_JSON_BOOL[lo_open]},{_JSON_BOOL[hi_open]}\n"
-    )
+def _csv_rows(cells):
+    """The CSV row of each region cell (chi1, chi2, bounds); the four
+    interval columns are empty on an infeasible row."""
+    for chi1, chi2, bounds in cells:
+        if bounds is None:
+            yield f"{chi1},{chi2},false,,,,\n"
+        else:
+            lo, hi, den, lo_open, hi_open = bounds
+            yield (
+                f"{chi1},{chi2},true,{format_ratio(lo, den)},{format_ratio(hi, den)},"
+                f"{_JSON_BOOL[lo_open]},{_JSON_BOOL[hi_open]}\n"
+            )
+
+
+def _json_components(rows):
+    """The text of each component row, laid out the same way inside
+    "components"."""
+    for chi1, chi2, d1, d2, dimension in rows:
+        yield f"""\
+      {{
+        "chi1": {chi1},
+        "chi2": {chi2},
+        "d1": {d1},
+        "d2": {d2},
+        "dimension": {dimension}
+      }}"""
+
+
+def _csv_components(rows):
+    """The CSV row of each component row."""
+    for chi1, chi2, d1, d2, dimension in rows:
+        yield f"{chi1},{chi2},{d1},{d2},{dimension}\n"
 
 
 def _write_joined(texts, sep: str) -> None:
@@ -175,7 +192,7 @@ def _cmd_region(args) -> int:
     cells = region_cells(args.r, args.k, args.chi1, args.chi2, max_cells=_max_cells())
     if args.format == "csv":
         sys.stdout.write("chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open\n")
-        _write_joined(itertools.starmap(_csv_row, cells), "")
+        _write_joined(_csv_rows(cells), "")
         return 0
     inputs = {
         "r": str(args.r),
@@ -189,8 +206,7 @@ def _cmd_region(args) -> int:
     if count == 0:
         _emit("region", inputs, outputs, [])
         return 0
-    cell_texts = itertools.starmap(_json_cell, cells)
-    _emit_streamed("region", inputs, outputs, [], "cells", cell_texts)
+    _emit_streamed("region", inputs, outputs, [], "cells", _json_cells(cells))
     return 0
 
 
@@ -208,7 +224,7 @@ def _cmd_components(args) -> int:
         )
     if args.format == "csv":
         sys.stdout.write("chi1,chi2,d1,d2,dimension\n")
-        _write_joined(("%d,%d,%d,%d,%d\n" % row for row in rows), "")
+        _write_joined(_csv_components(rows), "")
         return 0
     inputs = {
         "g1": str(args.g1),
@@ -219,8 +235,9 @@ def _cmd_components(args) -> int:
     }
     # r rows, or r + 1 when both window boundaries are integers.
     outputs = {"components": [], "count": args.r + (not generic)}
-    component_texts = (_JSON_COMPONENT % row for row in rows)
-    _emit_streamed("components", inputs, outputs, warnings, "components", component_texts)
+    _emit_streamed(
+        "components", inputs, outputs, warnings, "components", _json_components(rows)
+    )
     return 0
 
 

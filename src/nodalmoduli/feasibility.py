@@ -162,16 +162,19 @@ def region_cells(
     box fails even when it is empty.  The iterator yields
     (chi1, chi2, w1_bounds(...)) chi1-major, chi2-minor, both ascending.
     """
-    chi1s = range(chi1_range[0], chi1_range[1] + 1)
-    chi2s = range(chi2_range[0], chi2_range[1] + 1)
-    cells = len(chi1s) * len(chi2s)
+    (lo1, hi1), (lo2, hi2) = chi1_range, chi2_range
+    # Counted in ints: len(range(...)) overflows for bounds beyond ssize_t.
+    cells = max(0, hi1 - lo1 + 1) * max(0, hi2 - lo2 + 1)
     if max_cells is not None and cells > max_cells:
         raise ValueError(
             f"region of {cells} lattice points exceeds the cap of {max_cells}"
         )
     validate_ranks(r, k)
+    chi2s = range(lo2, hi2 + 1)
     return (
-        (chi1, chi2, w1_bounds(r, k, chi1, chi2)) for chi1 in chi1s for chi2 in chi2s
+        (chi1, chi2, w1_bounds(r, k, chi1, chi2))
+        for chi1 in range(lo1, hi1 + 1)
+        for chi2 in chi2s
     )
 
 

@@ -49,7 +49,13 @@ class GluingDatum:
     def __post_init__(self) -> None:
         validate_ranks(self.r)
         if self.sigma is not None:
-            sigma = tuple(tuple(map(_exact, row)) for row in self.sigma)
+            # Rows that are already tuples of ints (parse_matrix's) are kept.
+            sigma = tuple(
+                row
+                if type(row) is tuple and all(type(x) is int for x in row)
+                else tuple(map(_exact, row))
+                for row in self.sigma
+            )
             if len(sigma) != self.r or any(len(row) != self.r for row in sigma):
                 raise ValueError(f"sigma must be a {self.r}x{self.r} matrix")
             object.__setattr__(self, "sigma", sigma)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ import nodalmoduli
 from nodalmoduli import cli
 from nodalmoduli.cli import build_parser, main
 from nodalmoduli.curves import NodalCurve, Polarization
-from nodalmoduli.feasibility import feasible_interval
+from nodalmoduli.feasibility import feasible_interval, w1_bounds
 from nodalmoduli.gluing import GluingDatum, matrix_rank
 from nodalmoduli.moduli import enumerate_components
 from nodalmoduli.rationals import RationalInterval, format_rational
@@ -328,6 +329,89 @@ class TestRegionStreaming:
         )
         assert code == 1
         assert message in json.loads(out)["error"]["message"]
+
+
+# One cell of each kind the region encoders meet: (r, k, chi1, chi2).
+ENCODER_CELLS = {
+    "infeasible": (2, 1, 2, 1),
+    "closed": (2, 1, 2, 3),
+    "open_lower": (2, 1, 1, 4),
+    "open_upper": (2, 1, 3, 2),
+    "chi_zero": (3, 2, 1, 2),
+    "chi_negative": (3, 2, -1, -2),
+}
+
+# What makes each cell the kind it is named for, read off its report.
+ENCODER_KINDS = {
+    "infeasible": lambda rep: not rep.feasible,
+    "closed": lambda rep: rep.chi > 0 and rep.feasible
+    and not rep.w1_interval.lower_open and not rep.w1_interval.upper_open,
+    "open_lower": lambda rep: rep.feasible
+    and rep.w1_interval.lower_open and not rep.w1_interval.upper_open,
+    "open_upper": lambda rep: rep.feasible
+    and not rep.w1_interval.lower_open and rep.w1_interval.upper_open,
+    "chi_zero": lambda rep: rep.chi == 0 and rep.feasible,
+    "chi_negative": lambda rep: rep.chi < 0 and rep.feasible,
+}
+
+
+class TestRegionEncoders:
+    @pytest.mark.parametrize("kind", ENCODER_CELLS)
+    def test_json_cell_is_the_json_dumps_layout(self, kind):
+        r, k, chi1, chi2 = ENCODER_CELLS[kind]
+        report = feasible_interval(r, k, chi1, chi2)
+        assert ENCODER_KINDS[kind](report)
+        cell = {
+            "chi1": chi1,
+            "chi2": chi2,
+            "feasible": report.feasible,
+            "w1_interval": report.w1_interval.to_json(),
+        }
+        want = textwrap.indent(json.dumps(cell, sort_keys=True, indent=2), " " * 6)
+        assert list(cli._json_cells([(chi1, chi2, w1_bounds(r, k, chi1, chi2))])) == [want]
+
+    @pytest.mark.parametrize("kind", ENCODER_CELLS)
+    def test_csv_row_follows_the_report(self, kind):
+        r, k, chi1, chi2 = ENCODER_CELLS[kind]
+        report = feasible_interval(r, k, chi1, chi2)
+        assert ENCODER_KINDS[kind](report)
+        doc = report.to_json()
+        interval = doc["w1_interval"]
+        fields = ["", "", "", ""]
+        if doc["feasible"]:
+            fields = [
+                interval["lower"],
+                interval["upper"],
+                json.dumps(interval["lower_open"]),
+                json.dumps(interval["upper_open"]),
+            ]
+        want = ",".join([str(chi1), str(chi2), json.dumps(doc["feasible"]), *fields])
+        assert list(cli._csv_rows([(chi1, chi2, w1_bounds(r, k, chi1, chi2))])) == [
+            want + "\n"
+        ]
+
+    @pytest.mark.parametrize("fmt, name", [("json", "_json_cells"), ("csv", "_csv_rows")])
+    def test_negative_control_swapped_openness_is_caught(
+        self, capsys, monkeypatch, fmt, name
+    ):
+        real = getattr(cli, name)
+
+        def swapped(cells):
+            # The real encoder's text with lower_open and upper_open exchanged.
+            yield from real(
+                (chi1, chi2, None if b is None else (b[0], b[1], b[2], b[4], b[3]))
+                for chi1, chi2, b in cells
+            )
+
+        monkeypatch.setattr(cli, name, swapped)
+        for r, k, (lo1, hi1), (lo2, hi2) in EDGE_BOXES + list(_seeded_boxes(200)):
+            _, out, _ = run(
+                capsys, "region", "--r", str(r), "--k", str(k),
+                f"--chi1={lo1}:{hi1}", f"--chi2={lo2}:{hi2}", "--format", fmt,
+            )
+            if out != whole_box_output(r, k, (lo1, hi1), (lo2, hi2), fmt):
+                return
+        pytest.fail("swapped openness went unnoticed")
 
 
 def src_env():

@@ -306,3 +306,15 @@ class TestRegionCells:
     def test_cap_is_checked_by_the_call(self):
         with pytest.raises(ValueError, match="exceeds the cap of 100"):
             region_cells(2, 1, (0, 99), (0, 99), max_cells=100)
+
+    def test_cap_counts_a_range_beyond_ssize_t(self):
+        # len(range(...)) would raise OverflowError on this box.
+        huge = (-10**20, 10**20)
+        message = f"region of {2 * (2 * 10**20 + 1)} lattice points exceeds the cap of 10$"
+        with pytest.raises(ValueError, match=message):
+            region_cells(2, 1, huge, (0, 1), max_cells=10)
+        with pytest.raises(ValueError, match=message):
+            region_scan(2, 1, huge, (0, 1), max_cells=10)
+        # Uncapped, the huge box is walked lazily from its first cell.
+        cells = region_cells(2, 1, huge, (0, 1))
+        assert next(cells) == (-10**20, 0, w1_bounds(2, 1, -10**20, 0))

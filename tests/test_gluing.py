@@ -325,6 +325,35 @@ class TestGluedClass:
             GluingDatum(1, 1, 0, 0)
 
 
+class TestDatumSigma:
+    def test_parse_matrix_rows_are_kept(self):
+        rows = parse_matrix([["1/2", "1"], ["-3", 7]])
+        datum = GluingDatum(2, None, 0, 0, sigma=rows)
+        assert all(datum.sigma[i] is rows[i] for i in range(2))
+        assert datum.k == 2
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            [[Fraction(1, 2), 1], [1, 2]],
+            ((Fraction(1, 2), 1), (1, 2)),
+            [(1, 2), [Fraction(1, 3), 1]],
+            ((1, True), (0, 1)),
+        ],
+        ids=["fraction-lists", "fraction-tuples", "mixed-rows", "bool-entry"],
+    )
+    def test_other_rows_are_converted(self, sigma):
+        datum = GluingDatum(2, None, 0, 0, sigma=sigma)
+        assert type(datum.sigma) is tuple
+        assert all(type(row) is tuple for row in datum.sigma)
+        assert all(type(x) in (int, Fraction) for row in datum.sigma for x in row)
+        assert datum.sigma == tuple(tuple(map(Fraction, row)) for row in sigma)
+
+    def test_float_in_a_tuple_row_is_refused(self):
+        with pytest.raises(ValueError, match="float"):
+            GluingDatum(2, None, 0, 0, sigma=((1, 0), (0, 1.0)))
+
+
 class TestCanonicalSubsheaves:
     def test_full_rank_map(self):
         k1, k2 = canonical_subsheaves(GluingDatum(2, 2, 3, 1))

@@ -53,6 +53,12 @@ CASES = {
         1,
         {"NODAL_MODULI_MAX_CELLS": "10"},
     ),
+    "region_huge_range": (
+        ["region", "--r", "2", "--k", "1",
+         "--chi1=-100000000000000000000:100000000000000000000", "--chi2", "0:1"],
+        1,
+        {},
+    ),
     "region_k_out_of_range": (
         ["region", "--r", "2", "--k", "0", "--chi1", "0:1", "--chi2", "0:1"], 1, {}
     ),
