@@ -53,6 +53,11 @@ CASES = {
         1,
         {"NODAL_MODULI_MAX_CELLS": "10"},
     ),
+    "region_cap_bad_rank": (
+        ["region", "--r", "2", "--k", "0", "--chi1", "0:10", "--chi2", "0:10"],
+        1,
+        {"NODAL_MODULI_MAX_CELLS": "10"},
+    ),
     "region_huge_range": (
         ["region", "--r", "2", "--k", "1",
          "--chi1=-100000000000000000000:100000000000000000000", "--chi2", "0:1"],
@@ -186,6 +191,12 @@ CASES = {
     "check_sufficiency_strict": (
         ["check-sufficiency", "--r", "3", "--k", "2", "--chi1", "2", "--chi2", "4",
          "--g1", "5", "--g2", "5", "--w1", "1/2", "--strict"],
+        0,
+        {},
+    ),
+    "check_sufficiency_unreduced_weight": (
+        ["check-sufficiency", "--r", "3", "--k", "2", "--chi1", "2", "--chi2", "4",
+         "--g1", "5", "--g2", "5", "--w1", "2/4"],
         0,
         {},
     ),
