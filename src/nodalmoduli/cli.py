@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 
 from .curves import NodalCurve, Polarization
 from .feasibility import feasible_interval, region_cells
@@ -41,6 +42,9 @@ REGION_BATCH = 1000
 
 _JSON_BOOL = {False: "false", True: "true"}
 
+# Parsed arguments that are not inputs of the command.
+_NOT_ECHOED = frozenset({"subcommand", "handler", "format"})
+
 
 def rational_arg(text: str):
     try:
@@ -59,9 +63,27 @@ def int_range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integer bounds in {text!r}") from exc
 
 
-def _document(command: str, inputs: dict, outputs: dict, warnings: list[str]) -> str:
+def _echo(value) -> str:
+    """One parsed argument as the inputs echo writes it."""
+    if isinstance(value, bool):
+        return _JSON_BOOL[value]
+    if isinstance(value, tuple):
+        return f"{value[0]}:{value[1]}"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return str(value)
+
+
+def _document(args, outputs: dict, warnings) -> str:
+    """The document of args.subcommand: its parsed arguments echoed as
+    inputs, with the outputs and warnings."""
+    inputs = {
+        name: _echo(value)
+        for name, value in vars(args).items()
+        if name not in _NOT_ECHOED
+    }
     doc = {
-        "command": command,
+        "command": args.subcommand,
         "inputs": inputs,
         "outputs": outputs,
         "warnings": warnings,
@@ -69,33 +91,23 @@ def _document(command: str, inputs: dict, outputs: dict, warnings: list[str]) ->
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _emit(command: str, inputs: dict, outputs: dict, warnings: list[str]) -> None:
-    print(_document(command, inputs, outputs, warnings))
+def _emit(args, outputs: dict, warnings=()) -> None:
+    print(_document(args, outputs, warnings))
 
 
-def _emit_streamed(
-    command: str, inputs: dict, outputs: dict, warnings: list[str], key: str, texts
-) -> None:
+def _emit_streamed(args, outputs: dict, key: str, texts, warnings=()) -> None:
     """Print the document whose outputs[key] is [] with the JSON texts
     streamed into those brackets, REGION_BATCH at a time.  There must be at
     least one text."""
-    text = _document(command, inputs, outputs, warnings)
+    text = _document(args, outputs, warnings)
     head, _, tail = text.partition(f'"{key}": []')
     sys.stdout.write(head + f'"{key}": [\n')
     _write_joined(texts, ",\n")
     sys.stdout.write("\n    ]" + tail + "\n")
 
 
-def _cmd_feasible(args) -> int:
-    report = feasible_interval(args.r, args.k, args.chi1, args.chi2)
-    inputs = {
-        "r": str(args.r),
-        "k": str(args.k),
-        "chi1": str(args.chi1),
-        "chi2": str(args.chi2),
-    }
-    _emit("feasible", inputs, report.to_json(), [])
-    return 0
+def _cmd_feasible(args) -> None:
+    _emit(args, feasible_interval(args.r, args.k, args.chi1, args.chi2).to_json())
 
 
 def _json_cells(cells):
@@ -188,32 +200,25 @@ def _check_work(units: int, what: str) -> None:
         raise ValueError(f"{what.format(units)} exceeds the cap of {cap}")
 
 
-def _cmd_region(args) -> int:
-    cells = region_cells(args.r, args.k, args.chi1, args.chi2, max_cells=_max_cells())
+def _cmd_region(args) -> None:
+    (lo1, hi1), (lo2, hi2) = args.chi1, args.chi2
+    # Counted in ints: len(range(...)) overflows for bounds beyond ssize_t.
+    count = max(0, hi1 - lo1 + 1) * max(0, hi2 - lo2 + 1)
+    _check_work(count, "region of {} lattice points")
+    cells = region_cells(args.r, args.k, args.chi1, args.chi2)
     if args.format == "csv":
         sys.stdout.write("chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open\n")
         _write_joined(_csv_rows(cells), "")
-        return 0
-    inputs = {
-        "r": str(args.r),
-        "k": str(args.k),
-        "chi1": f"{args.chi1[0]}:{args.chi1[1]}",
-        "chi2": f"{args.chi2[0]}:{args.chi2[1]}",
-    }
-    (lo1, hi1), (lo2, hi2) = args.chi1, args.chi2
-    count = max(0, hi1 - lo1 + 1) * max(0, hi2 - lo2 + 1)
-    outputs = {"cells": [], "count": count}
-    if count == 0:
-        _emit("region", inputs, outputs, [])
-        return 0
-    _emit_streamed("region", inputs, outputs, [], "cells", _json_cells(cells))
-    return 0
+    elif count == 0:
+        _emit(args, {"cells": [], "count": 0})
+    else:
+        _emit_streamed(args, {"cells": [], "count": count}, "cells", _json_cells(cells))
 
 
-def _cmd_components(args) -> int:
+def _cmd_components(args) -> None:
     _check_work(args.r + 1, "component enumeration of {} splittings")
     curve = NodalCurve(args.g1, args.g2)
-    w = Polarization(args.w1, 1 - args.w1)
+    w = Polarization.from_w1(args.w1)
     rows = component_rows(curve, args.r, args.chi, w)
     generic = is_generic_for(args.chi, w)
     warnings = []
@@ -225,20 +230,10 @@ def _cmd_components(args) -> int:
     if args.format == "csv":
         sys.stdout.write("chi1,chi2,d1,d2,dimension\n")
         _write_joined(_csv_components(rows), "")
-        return 0
-    inputs = {
-        "g1": str(args.g1),
-        "g2": str(args.g2),
-        "r": str(args.r),
-        "chi": str(args.chi),
-        "w1": format_rational(args.w1),
-    }
+        return
     # r rows, or r + 1 when both window boundaries are integers.
     outputs = {"components": [], "count": args.r + (not generic)}
-    _emit_streamed(
-        "components", inputs, outputs, warnings, "components", _json_components(rows)
-    )
-    return 0
+    _emit_streamed(args, outputs, "components", _json_components(rows), warnings)
 
 
 def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
@@ -253,15 +248,10 @@ def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
     return parse_matrix(raw)
 
 
-def _cmd_glue(args) -> int:
+def _cmd_glue(args) -> None:
     sigma = _read_sigma(args.matrix)
     datum = GluingDatum(r=len(sigma), k=None, chi1=args.chi1, chi2=args.chi2, sigma=sigma)
     sheaf, stalk, is_bundle = glued_class(datum)
-    inputs = {
-        "matrix": str(args.matrix),
-        "chi1": str(args.chi1),
-        "chi2": str(args.chi2),
-    }
     outputs = {
         "r": datum.r,
         "k": datum.k,
@@ -270,17 +260,16 @@ def _cmd_glue(args) -> int:
         "stalk": stalk.to_json(),
         "vector_bundle": is_bundle,
     }
-    _emit("glue", inputs, outputs, [])
-    return 0
+    _emit(args, outputs)
 
 
-def _cmd_check_sufficiency(args) -> int:
+def _cmd_check_sufficiency(args) -> None:
     shapes = (args.k + 1) * (args.r + 1) ** 2
     _check_work(shapes, "sufficiency sweep of {} subsheaf shapes")
     h = StabilityHypotheses(args.r, args.k, args.chi1, args.chi2, args.g1, args.g2)
     warnings = []
     if args.w1 is not None:
-        w = Polarization(args.w1, 1 - args.w1)
+        w = Polarization.from_w1(args.w1)
     else:
         report = feasible_interval(args.r, args.k, args.chi1, args.chi2)
         if report.sample is None:
@@ -290,16 +279,7 @@ def _cmd_check_sufficiency(args) -> int:
         w = report.sample
         warnings.append(f"polarization defaulted to w1 = {format_rational(w.w1)}")
     holds, witness = check_sufficiency(h, w, strict=args.strict)
-    inputs = {
-        "r": str(args.r),
-        "k": str(args.k),
-        "chi1": str(args.chi1),
-        "chi2": str(args.chi2),
-        "g1": str(args.g1),
-        "g2": str(args.g2),
-        "w1": format_rational(w.w1),
-        "strict": str(args.strict).lower(),
-    }
+    args.w1 = w.w1  # echo the weight actually used
     outputs = {
         "holds": holds,
         "witness": None if witness is None else witness.to_json(),
@@ -307,38 +287,25 @@ def _cmd_check_sufficiency(args) -> int:
         "d1": h.d1,
         "d2": h.d2,
     }
-    _emit("check-sufficiency", inputs, outputs, warnings)
-    return 0
+    _emit(args, outputs, warnings)
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> None:
     curve = NodalCurve(args.g1, args.g2)
-    inputs = {"g1": str(args.g1), "g2": str(args.g2), "r": str(args.r)}
     outputs = {
         "component": component_dimension(curve, args.r),
         "pf_bundle": projective_bundle_dimension(curve, args.r),
         "fixed_det_fiber": fixed_det_fiber_dimension(curve, args.r),
     }
-    _emit("dims", inputs, outputs, [])
-    return 0
+    _emit(args, outputs)
 
 
-def _cmd_mk_test(args) -> int:
+def _cmd_mk_test(args) -> None:
     holds = mk_semistable_test(
         (args.sub_d, args.sub_rk), (args.amb_d, args.amb_rk), args.m, args.k,
         strict=args.strict,
     )
-    inputs = {
-        "sub_d": str(args.sub_d),
-        "sub_rk": str(args.sub_rk),
-        "amb_d": str(args.amb_d),
-        "amb_rk": str(args.amb_rk),
-        "m": str(args.m),
-        "k": str(args.k),
-        "strict": str(args.strict).lower(),
-    }
-    _emit("mk-test", inputs, {"holds": holds}, [])
-    return 0
+    _emit(args, {"holds": holds})
 
 
 @functools.cache
@@ -425,13 +392,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        args.handler(args)
     except BrokenPipeError:
         raise  # the reader has gone; console_main ends quietly
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, sort_keys=True, indent=2))
         return 1
+    return 0
 
 
 def console_main() -> None:

@@ -120,8 +120,7 @@ def feasible_interval(r: int, k: int, chi1: int, chi2: int) -> FeasibilityReport
     sample = None
     if bounds is not None:
         lo, hi, den = bounds[:3]
-        w1 = Fraction(lo + hi, 2 * den)
-        sample = Polarization(w1, 1 - w1)
+        sample = Polarization.from_w1(Fraction(lo + hi, 2 * den))
     return FeasibilityReport(
         feasible=bounds is not None,
         w1_interval=_interval(bounds),
@@ -154,21 +153,15 @@ def region_cells(
     k: int,
     chi1_range: tuple[int, int],
     chi2_range: tuple[int, int],
-    max_cells: int | None = None,
 ) -> Iterator[tuple[int, int, Bounds | None]]:
     """Feasibility over a lattice box of (chi1, chi2) pairs, one cell at a time.
 
-    r, k and the cell cap are checked before anything is returned, so a bad
-    box fails even when it is empty.  The iterator yields
-    (chi1, chi2, w1_bounds(...)) chi1-major, chi2-minor, both ascending.
+    r and k are checked before anything is returned, so bad ranks fail even
+    when the box is empty.  The iterator yields (chi1, chi2, w1_bounds(...))
+    chi1-major, chi2-minor, both ascending, and walks even a box beyond
+    ssize_t lazily.
     """
     (lo1, hi1), (lo2, hi2) = chi1_range, chi2_range
-    # Counted in ints: len(range(...)) overflows for bounds beyond ssize_t.
-    cells = max(0, hi1 - lo1 + 1) * max(0, hi2 - lo2 + 1)
-    if max_cells is not None and cells > max_cells:
-        raise ValueError(
-            f"region of {cells} lattice points exceeds the cap of {max_cells}"
-        )
     validate_ranks(r, k)
     chi2s = range(lo2, hi2 + 1)
     return (
@@ -183,15 +176,13 @@ def region_scan(
     k: int,
     chi1_range: tuple[int, int],
     chi2_range: tuple[int, int],
-    max_cells: int | None = None,
 ) -> list[tuple[int, int, bool, RationalInterval]]:
     """Tabulate feasibility over a lattice box of (chi1, chi2) pairs.
 
     Rows are emitted chi1-major, chi2-minor, both ascending.  Empty ranges
-    yield an empty list; r, k and the cap are checked first, as in
-    :func:`region_cells`.
+    yield an empty list; r and k are checked first, as in :func:`region_cells`.
     """
     return [
         (chi1, chi2, bounds is not None, _interval(bounds))
-        for chi1, chi2, bounds in region_cells(r, k, chi1_range, chi2_range, max_cells)
+        for chi1, chi2, bounds in region_cells(r, k, chi1_range, chi2_range)
     ]

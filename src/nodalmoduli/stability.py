@@ -124,12 +124,9 @@ def max_degree_bounds(
     and an integer bound drops by one.
     """
     _, s1, s2 = shape
-
-    def floor_bound(q: Fraction) -> int:
-        return (q.numerator - (1 if strict else 0)) // q.denominator
-
-    max1 = None if s1 == 0 else floor_bound(Fraction(s1 * (h.d1 - h.k), h.r))
-    max2 = None if s2 == 0 else floor_bound(Fraction(s2 * (h.d2 - 2 * h.r), h.r))
+    # (n - strict) // r is the largest integer <= n/r, or < n/r when strict.
+    max1 = None if s1 == 0 else (s1 * (h.d1 - h.k) - strict) // h.r
+    max2 = None if s2 == 0 else (s2 * (h.d2 - 2 * h.r) - strict) // h.r
     return max1, max2
 
 

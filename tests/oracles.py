@@ -105,3 +105,18 @@ def windowed_sufficiency(h, w1, window: int, strict: bool = False):
                         if lhs > rhs or (strict and lhs == rhs):
                             return False, (s, s1, s2, deg1, deg2)
     return True, None
+
+
+def fraction_degree_bounds(shape, h, strict: bool = False):
+    """Reference for ``stability.max_degree_bounds`` in ``Fraction``
+    arithmetic: each bound s1 (d1 - k) / r and s2 (d2 - 2r) / r is reduced to
+    lowest terms and floored, after one is taken from its numerator when
+    strict; a rank-zero side has no bound (None)."""
+    _, s1, s2 = shape
+
+    def floor_bound(q: Fraction) -> int:
+        return (q.numerator - (1 if strict else 0)) // q.denominator
+
+    max1 = None if s1 == 0 else floor_bound(Fraction(s1 * (h.d1 - h.k), h.r))
+    max2 = None if s2 == 0 else floor_bound(Fraction(s2 * (h.d2 - 2 * h.r), h.r))
+    return max1, max2

@@ -17,7 +17,12 @@ import nodalmoduli
 from nodalmoduli import cli
 from nodalmoduli.cli import build_parser, main
 from nodalmoduli.curves import NodalCurve, Polarization
-from nodalmoduli.feasibility import feasible_interval, w1_bounds
+from nodalmoduli.feasibility import (
+    feasible_interval,
+    region_cells,
+    region_scan,
+    w1_bounds,
+)
 from nodalmoduli.gluing import GluingDatum, matrix_rank
 from nodalmoduli.moduli import enumerate_components
 from nodalmoduli.rationals import RationalInterval, format_rational
@@ -167,6 +172,18 @@ class TestRegion:
         )
         assert code == 1
         assert "exceeds the cap" in json.loads(out)["error"]["message"]
+
+    def test_cap_counts_a_range_beyond_ssize_t(self, capsys, monkeypatch):
+        # len(range(...)) would raise OverflowError on this box.
+        monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", "10")
+        code, out, _ = run(
+            capsys, "region", "--r", "2", "--k", "1",
+            "--chi1=-100000000000000000000:100000000000000000000", "--chi2", "0:1",
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == (
+            "region of 400000000000000000002 lattice points exceeds the cap of 10"
+        )
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", "lots")
@@ -652,6 +669,8 @@ class TestWorkCaps:
         assert len(enumerate_components(NodalCurve(2, 3), 3, 5, w)) == 3
         assert matrix_rank([[1, 0], [0, 1]]) == 2
         assert GluingDatum(2, None, 0, 0, sigma=[[1, 0], [0, 1]]).k == 2
+        assert len(list(region_cells(2, 1, (0, 99), (0, 99)))) == 10**4
+        assert len(region_scan(2, 1, (0, 99), (0, 99))) == 10**4
 
 
 class TestParserReuse:

@@ -17,7 +17,7 @@ from nodalmoduli.stability import (
     nonstable_locus_codim_bound,
     subsheaf_slope,
 )
-from oracles import windowed_sufficiency
+from oracles import fraction_degree_bounds, windowed_sufficiency
 
 HALF = Polarization(Fraction(1, 2), Fraction(1, 2))
 
@@ -111,6 +111,40 @@ class TestMaxDegreeBounds:
         assert max_degree_bounds((0, 2, 0), h, strict=True)[0] == 1  # bound 2 is integral
         h2 = StabilityHypotheses(2, 1, 1, 5, 2, 2)
         assert max_degree_bounds((0, 0, 1), h2, strict=True)[1] == 1  # bound 3/2 is not
+
+    # Hypotheses with r 2..9, every k, chi in {-5, 0, 4} and g in {1, 3}, so
+    # the bound numerators take both signs and both divisibility cases.
+    GRID = [
+        StabilityHypotheses(r, k, chi1, chi2, g1, g2)
+        for r in range(2, 10)
+        for k in range(1, r + 1)
+        for chi1 in (-5, 0, 4)
+        for chi2 in (-5, 0, 4)
+        for g1 in (1, 3)
+        for g2 in (1, 3)
+    ]
+
+    @staticmethod
+    def _mismatches(bounds):
+        for h in TestMaxDegreeBounds.GRID:
+            for s1 in range(h.r + 1):
+                for s2 in range(h.r + 1):
+                    for strict in (False, True):
+                        want = fraction_degree_bounds((0, s1, s2), h, strict)
+                        if bounds((0, s1, s2), h, strict) != want:
+                            yield h, s1, s2, strict
+
+    def test_matches_fraction_reference(self):
+        assert next(self._mismatches(max_degree_bounds), None) is None
+
+    def test_negative_control_unconditional_drop_is_caught(self):
+        # Dropping one from every strict bound, integral or not, must differ.
+        def always_drop(shape, h, strict=False):
+            return tuple(
+                None if b is None else b - strict for b in max_degree_bounds(shape, h)
+            )
+
+        assert next(self._mismatches(always_drop), None) is not None
 
 
 class TestCheckSufficiency:
