@@ -181,21 +181,15 @@ def _write_joined(texts, sep: str) -> None:
         lead = sep
 
 
-def _max_cells() -> int:
-    """The work cap: NODAL_MODULI_MAX_CELLS, or DEFAULT_MAX_CELLS when unset."""
+def _check_work(units: int, what: str) -> None:
+    """Refuse a command whose work in units exceeds the cap,
+    NODAL_MODULI_MAX_CELLS or DEFAULT_MAX_CELLS when unset; `what` names the
+    work with a {} for the count, as in the region message."""
     raw = os.environ.get(MAX_CELLS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_CELLS
     try:
-        return int(raw)
+        cap = DEFAULT_MAX_CELLS if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}")
-
-
-def _check_work(units: int, what: str) -> None:
-    """Refuse a command whose work in units exceeds the cap; `what` names
-    the work with a {} for the count, as in the region message."""
-    cap = _max_cells()
     if units > cap:
         raise ValueError(f"{what.format(units)} exceeds the cap of {cap}")
 
