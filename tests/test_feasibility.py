@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from nodalmoduli.cli import main
 from nodalmoduli.curves import Polarization
 from nodalmoduli import feasibility
 from nodalmoduli.feasibility import (
@@ -215,6 +217,17 @@ class TestRegionScan:
         assert [(a, b) for a, b, _, _ in rows] == [
             (-1, 4), (-1, 5), (0, 4), (0, 5), (1, 4), (1, 5),
         ]
+
+    def test_cell_cap(self, capsys, monkeypatch):
+        # The region cap is the CLI's: it refuses a 100 x 100 box at a cap of
+        # 100, while region_scan on the same box returns every cell.
+        monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", "100")
+        code = main(["region", "--r", "2", "--k", "1", "--chi1", "0:99",
+                     "--chi2", "0:99"])
+        assert code == 1
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == "region of 10000 lattice points exceeds the cap of 100"
+        assert len(region_scan(2, 1, (0, 99), (0, 99))) == 10**4
 
 
 # The kernel sweep: r 2..8, every k, chi1 and chi2 in -15..15 (33,635 cases).
