@@ -6,7 +6,7 @@ inequalities.  This script draws the lattice picture for a few (r, k) and
 prints the exact weight intervals along one diagonal.
 """
 
-from nodalmoduli import feasible_interval, in_region, in_region_all_k
+from nodalmoduli import feasible_interval, in_region
 
 LO, HI = -6, 8
 
@@ -37,6 +37,6 @@ for chi1 in range(-3, 5):
 
 print("\nThe k = 1 region already works for every k at once:")
 for point in [(1, 2), (2, 2), (0, 0), (3, -1)]:
-    for_all = in_region_all_k(2, *point)
+    for_all = all(in_region(2, k, *point) for k in (1, 2))
     just_k1 = in_region(2, 1, *point)
     print(f"  {point}: all-k {for_all}, k=1 {just_k1}")

@@ -18,9 +18,7 @@ from .curves import (
 from .feasibility import (
     FeasibilityReport,
     feasible_interval,
-    feasible_interval_all_k,
     in_region,
-    in_region_all_k,
     necessary_conditions,
     region_scan,
     violated_conditions,
@@ -76,12 +74,10 @@ __all__ = [
     "dim_moduli_smooth",
     "enumerate_components",
     "feasible_interval",
-    "feasible_interval_all_k",
     "fixed_det_fiber_dimension",
     "format_rational",
     "glued_class",
     "in_region",
-    "in_region_all_k",
     "is_generic_for",
     "matrix_rank",
     "max_degree_bounds",

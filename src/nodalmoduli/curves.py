@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import format_rational
+from .rationals import exact, format_rational
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,17 @@ class Polarization:
     """Rational weights (w1, w2) with w1 + w2 = 1 and 0 < wi < 1.
 
     Invalid weights are rejected at construction, never normalized: a caller
-    handing in a bad pair is a bug worth surfacing.
+    handing in a bad pair is a bug worth surfacing.  A float weight is
+    refused too, since its binary value can put w1 on the wrong side of a
+    compatibility bound.
     """
 
     w1: Fraction
     w2: Fraction
 
     def __post_init__(self) -> None:
-        w1, w2 = Fraction(self.w1), Fraction(self.w2)
+        w1 = Fraction(exact(self.w1, "weights"))
+        w2 = Fraction(exact(self.w2, "weights"))
         if not (0 < w1 < 1 and 0 < w2 < 1):
             raise ValueError(
                 f"weights must lie strictly between 0 and 1, got ({w1}, {w2})"
@@ -58,7 +61,7 @@ class Polarization:
 
     @classmethod
     def from_w1(cls, w1) -> "Polarization":
-        w1 = Fraction(w1)
+        w1 = Fraction(exact(w1, "weights"))
         return cls(w1, 1 - w1)
 
     def to_json(self) -> dict:

@@ -114,6 +114,10 @@ def feasible_interval(r: int, k: int, chi1: int, chi2: int) -> FeasibilityReport
     endpoints (chi1 - k)/chi and chi1/chi (in the order the sign of chi
     dictates), or all weights when chi = 0 and 0 <= chi1 <= k; the report
     stores its intersection with the open unit interval.
+
+    The k = 1 constraints are the strongest, so the intersection of the
+    intervals over k = 1..r is the k = 1 interval, and the sample at k = 1
+    is compatible for every fiber-map rank at once.
     """
     validate_ranks(r, k)
     bounds = w1_bounds(r, k, chi1, chi2)
@@ -132,20 +136,6 @@ def feasible_interval(r: int, k: int, chi1: int, chi2: int) -> FeasibilityReport
 def in_region(r: int, k: int, chi1: int, chi2: int) -> bool:
     """Whether (chi1, chi2) admits a compatible polarization for this k."""
     return feasible_interval(r, k, chi1, chi2).feasible
-
-
-def feasible_interval_all_k(r: int, chi1: int, chi2: int) -> FeasibilityReport:
-    """Polarizations compatible with every fiber-map rank k = 1..r at once.
-
-    The k = 1 constraints are the strongest, so the intersection over k
-    equals the k = 1 interval, and its sample works simultaneously for all k.
-    """
-    return feasible_interval(r, 1, chi1, chi2)
-
-
-def in_region_all_k(r: int, chi1: int, chi2: int) -> bool:
-    """Whether (chi1, chi2) admits one polarization compatible for all k."""
-    return feasible_interval_all_k(r, chi1, chi2).feasible
 
 
 def region_cells(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curves import SheafClass
-from .rationals import parse_ratio
+from .rationals import exact, parse_ratio
 
 Matrix = tuple[tuple[Fraction | int, ...], ...]
 
@@ -53,7 +53,7 @@ class GluingDatum:
             sigma = tuple(
                 row
                 if type(row) is tuple and all(type(x) is int for x in row)
-                else tuple(map(_exact, row))
+                else tuple(exact(x, "matrix entries") for x in row)
                 for row in self.sigma
             )
             if len(sigma) != self.r or any(len(row) != self.r for row in sigma):
@@ -82,17 +82,6 @@ def validate_ranks(r: int, k: int | None = None) -> None:
         raise ValueError(f"fiber-map rank must satisfy 1 <= k <= r, got k={k}, r={r}")
 
 
-def _exact(x: object) -> Fraction | int:
-    """A matrix entry as an exact rational; an int or a Fraction is kept as
-    it is.  A float is refused: its binary value is not the decimal it was
-    written as, so it would decide a rank by rounding."""
-    if type(x) is int or type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise ValueError(f"matrix entries must be exact rationals, got the float {x!r}")
-    return Fraction(x)
-
-
 def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
@@ -118,7 +107,7 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         if all(type(x) is int for x in row):
             rows.append(row)
             continue
-        entries = [_exact(x) for x in row]
+        entries = [exact(x, "matrix entries") for x in row]
         scale = math.lcm(*(e.denominator for e in entries))
         rows.append([e.numerator * (scale // e.denominator) for e in entries])
 

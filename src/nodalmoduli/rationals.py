@@ -1,10 +1,11 @@
-"""Exact rational numbers and intervals with open or closed endpoints.
+"""Exact rational numbers and bounded intervals with open or closed endpoints.
 
 Rationals are ``fractions.Fraction`` values: arbitrary precision, always in
 canonical form (positive denominator, gcd-reduced), with exact arithmetic
 and a total order.  This module adds the string codec used throughout the
-package ("p/q", or "p" for integers) and :class:`RationalInterval`, whose
-endpoints may be open, closed, or infinite.
+package ("p/q", or "p" for integers), the one check that refuses a float
+where an exact rational is required, and :class:`RationalInterval`, the
+value a feasibility report holds.
 
 Intervals arise as solution sets of one-variable rational inequality
 systems, so the empty interval is a normal value, never an error.
@@ -62,33 +63,41 @@ def format_rational(value: Fraction | int) -> str:
     return format_ratio(q.numerator, q.denominator)
 
 
+def exact(x: object, what: str) -> Fraction | int:
+    """x as an exact rational; an int or a Fraction is kept as it is.  A
+    float is refused, naming ``what`` it was given as: its binary value is
+    not the decimal it was written as, so it would decide a verdict by
+    rounding.  The package's one exactness check."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"{what} must be exact rationals, got the float {x!r}")
+    return Fraction(x)
+
+
 # Canonical field values of the unique empty interval.
 _EMPTY = (Fraction(0), Fraction(0), True, True)
 
 
 @dataclass(frozen=True)
 class RationalInterval:
-    """An interval of rationals; each endpoint open or closed, possibly infinite.
+    """A bounded interval of rationals, each endpoint open or closed.
 
-    ``lower is None`` means unbounded below and ``upper is None`` unbounded
-    above; infinite endpoints are forced open.  Degenerate data (lower above
-    upper, or a single point with an open end) canonicalizes to *the* empty
-    interval, so dataclass equality is interval equality.
+    Degenerate data (lower above upper, or a single point with an open end)
+    canonicalizes to *the* empty interval, so dataclass equality is interval
+    equality.
     """
 
-    lower: Fraction | None = None
-    upper: Fraction | None = None
+    lower: Fraction
+    upper: Fraction
     lower_open: bool = False
     upper_open: bool = False
 
     def __post_init__(self) -> None:
-        lo = None if self.lower is None else Fraction(self.lower)
-        up = None if self.upper is None else Fraction(self.upper)
-        lo_open = self.lower_open or lo is None
-        up_open = self.upper_open or up is None
-        if lo is not None and up is not None and (
-            lo > up or (lo == up and (lo_open or up_open))
-        ):
+        lo = Fraction(exact(self.lower, "interval endpoints"))
+        up = Fraction(exact(self.upper, "interval endpoints"))
+        lo_open, up_open = self.lower_open, self.upper_open
+        if lo > up or (lo == up and (lo_open or up_open)):
             lo, up, lo_open, up_open = _EMPTY
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
@@ -99,96 +108,22 @@ class RationalInterval:
     def empty(cls) -> "RationalInterval":
         return cls(*_EMPTY)
 
-    @classmethod
-    def closed(cls, lower, upper) -> "RationalInterval":
-        return cls(Fraction(lower), Fraction(upper), False, False)
-
-    @classmethod
-    def open(cls, lower, upper) -> "RationalInterval":
-        return cls(Fraction(lower), Fraction(upper), True, True)
-
     @property
     def is_empty(self) -> bool:
-        return (
-            self.lower is not None
-            and self.upper is not None
-            and (self.lower, self.upper, self.lower_open, self.upper_open) == _EMPTY
-        )
-
-    def contains(self, value) -> bool:
-        """Membership test honoring endpoint openness."""
-        if self.is_empty:
-            return False
-        q = Fraction(value)
-        if self.lower is not None:
-            if q < self.lower or (q == self.lower and self.lower_open):
-                return False
-        if self.upper is not None:
-            if q > self.upper or (q == self.upper and self.upper_open):
-                return False
-        return True
-
-    def intersect(self, other: "RationalInterval") -> "RationalInterval":
-        """Exact intersection; a tied endpoint keeps the stricter (open) side."""
-        if self.is_empty or other.is_empty:
-            return RationalInterval.empty()
-        lo, lo_open = _tighter(
-            self.lower, self.lower_open, other.lower, other.lower_open, prefer_max=True
-        )
-        up, up_open = _tighter(
-            self.upper, self.upper_open, other.upper, other.upper_open, prefer_max=False
-        )
-        return RationalInterval(lo, up, lo_open, up_open)
-
-    def sample(self) -> Fraction | None:
-        """A rational inside the interval, or None when empty.
-
-        Finite intervals yield their midpoint (the single closed point in the
-        degenerate case); half-infinite ones step one unit inward.
-        """
-        if self.is_empty:
-            return None
-        if self.lower is None and self.upper is None:
-            return Fraction(0)
-        if self.lower is None:
-            return self.upper - 1
-        if self.upper is None:
-            return self.lower + 1
-        if self.lower == self.upper:
-            return self.lower
-        return (self.lower + self.upper) / 2
+        return (self.lower, self.upper, self.lower_open, self.upper_open) == _EMPTY
 
     def to_json(self) -> dict:
         return {
-            "lower": None if self.lower is None else format_rational(self.lower),
-            "upper": None if self.upper is None else format_rational(self.upper),
+            "lower": format_rational(self.lower),
+            "upper": format_rational(self.upper),
             "lower_open": self.lower_open,
             "upper_open": self.upper_open,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalInterval":
-        lower = None if data["lower"] is None else parse_rational(data["lower"])
-        upper = None if data["upper"] is None else parse_rational(data["upper"])
-        return cls(lower, upper, bool(data["lower_open"]), bool(data["upper_open"]))
-
     def __repr__(self) -> str:
         if self.is_empty:
             return "RationalInterval.empty()"
-        lo = "-inf" if self.lower is None else format_rational(self.lower)
-        up = "+inf" if self.upper is None else format_rational(self.upper)
         left = "(" if self.lower_open else "["
         right = ")" if self.upper_open else "]"
+        lo, up = format_rational(self.lower), format_rational(self.upper)
         return f"RationalInterval {left}{lo}, {up}{right}"
-
-
-def _tighter(a, a_open, b, b_open, *, prefer_max):
-    """Pick the tighter of two like-side endpoints (None is infinite)."""
-    if a is None:
-        return b, b_open
-    if b is None:
-        return a, a_open
-    if a == b:
-        return a, a_open or b_open
-    take_a = a > b if prefer_max else a < b
-    return (a, a_open) if take_a else (b, b_open)

@@ -4,14 +4,61 @@ These deliberately avoid the library's feasibility code: feasibility is
 decided by scanning a rational weight grid and testing the four
 compatibility inequalities directly in integer arithmetic, and the exact
 w1-interval is recomputed in ``Fraction`` arithmetic by sorting and
-intersecting, independently of the integer kernel ``w1_bounds``.
+intersecting, independently of the integer kernel ``w1_bounds``.  The
+interval algebra that reference needs (``closed``, ``intersect``,
+``contains``, ``sample``) lives here, as free functions over the library's
+finite ``RationalInterval`` values.
 """
 
 from fractions import Fraction
 
 from nodalmoduli.rationals import RationalInterval
 
-_OPEN_UNIT = RationalInterval.open(0, 1)
+
+def closed(lower, upper) -> RationalInterval:
+    return RationalInterval(Fraction(lower), Fraction(upper), False, False)
+
+
+OPEN_UNIT = RationalInterval(Fraction(0), Fraction(1), True, True)
+
+
+def contains(interval: RationalInterval, value) -> bool:
+    """Membership test honoring endpoint openness."""
+    if interval.is_empty:
+        return False
+    q = Fraction(value)
+    if q < interval.lower or (q == interval.lower and interval.lower_open):
+        return False
+    if q > interval.upper or (q == interval.upper and interval.upper_open):
+        return False
+    return True
+
+
+def intersect(a: RationalInterval, b: RationalInterval) -> RationalInterval:
+    """Exact intersection; a tied endpoint keeps the stricter (open) side."""
+    if a.is_empty or b.is_empty:
+        return RationalInterval.empty()
+    lo, lo_open = _tighter(a.lower, a.lower_open, b.lower, b.lower_open, max)
+    up, up_open = _tighter(a.upper, a.upper_open, b.upper, b.upper_open, min)
+    return RationalInterval(lo, up, lo_open, up_open)
+
+
+def _tighter(x, x_open, y, y_open, pick):
+    """The tighter of two like-side endpoints: ``pick`` (max for lower
+    endpoints, min for upper ones) of the values, open on a tie if either is."""
+    if x == y:
+        return x, x_open or y_open
+    return (x, x_open) if pick(x, y) == x else (y, y_open)
+
+
+def sample(interval: RationalInterval) -> Fraction | None:
+    """A rational inside the interval, or None when empty: the midpoint, or
+    the single closed point in the degenerate case."""
+    if interval.is_empty:
+        return None
+    if interval.lower == interval.upper:
+        return interval.lower
+    return (interval.lower + interval.upper) / 2
 
 
 def fraction_interval(r: int, k: int, chi1: int, chi2: int) -> RationalInterval:
@@ -20,14 +67,14 @@ def fraction_interval(r: int, k: int, chi1: int, chi2: int) -> RationalInterval:
     The closed solution of the inequality system has endpoints
     (chi1 - k)/chi and chi1/chi, sorted by value since dividing by chi < 0
     flips them; it is intersected with the open unit interval by
-    ``RationalInterval.intersect``.  At chi = 0 every weight works when
-    0 <= chi1 <= k and none otherwise.
+    :func:`intersect`.  At chi = 0 every weight works when 0 <= chi1 <= k
+    and none otherwise.
     """
     chi = chi1 + chi2 - r
     if chi == 0:
-        return _OPEN_UNIT if 0 <= chi1 <= k else RationalInterval.empty()
+        return OPEN_UNIT if 0 <= chi1 <= k else RationalInterval.empty()
     endpoints = sorted((Fraction(chi1 - k, chi), Fraction(chi1, chi)))
-    return RationalInterval.closed(*endpoints).intersect(_OPEN_UNIT)
+    return intersect(closed(*endpoints), OPEN_UNIT)
 
 
 def grid_feasible(r: int, k: int, chi1: int, chi2: int) -> bool:

@@ -53,6 +53,18 @@ class TestPolarization:
     def test_from_w1(self):
         assert Polarization.from_w1(Fraction(1, 4)).w2 == Fraction(3, 4)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Polarization.from_w1(0.6),
+            lambda: Polarization(0.1, 0.9),
+            lambda: Polarization(Fraction(1, 2), 0.5),
+        ],
+    )
+    def test_float_weight_refused(self, make):
+        with pytest.raises(ValueError, match="^weights must be exact rationals, got the float"):
+            make()
+
     def test_json(self):
         assert Polarization.from_w1(Fraction(1, 3)).to_json() == {
             "w1": "1/3",

@@ -5,12 +5,10 @@ import pytest
 
 from nodalmoduli.cli import main
 from nodalmoduli.curves import Polarization
-from nodalmoduli import feasibility
+from nodalmoduli import curves, feasibility
 from nodalmoduli.feasibility import (
     feasible_interval,
-    feasible_interval_all_k,
     in_region,
-    in_region_all_k,
     necessary_conditions,
     region_cells,
     region_scan,
@@ -19,7 +17,14 @@ from nodalmoduli.feasibility import (
 )
 from nodalmoduli.gluing import GluingDatum, canonical_subsheaves
 from nodalmoduli.rationals import RationalInterval
-from oracles import fraction_interval, grid_feasible, region_characterization
+import oracles
+from oracles import (
+    OPEN_UNIT,
+    closed,
+    fraction_interval,
+    grid_feasible,
+    region_characterization,
+)
 
 HALF = Polarization(Fraction(1, 2), Fraction(1, 2))
 
@@ -35,6 +40,22 @@ class TestNecessaryConditions:
 
     def test_satisfied_positive_chi(self):
         assert necessary_conditions(GluingDatum(2, 1, 2, 3), HALF)
+
+    def test_boundary_weight_is_exact(self):
+        # chi = -20 and chi*w1 = chi1 at w1 = 3/5: the weight is compatible.
+        u = GluingDatum(2, 1, -12, -6)
+        assert violated_conditions(u, Polarization.from_w1(Fraction(3, 5))) == []
+
+    def test_negative_control_float_weight_flips_the_verdict(self, monkeypatch):
+        # Without the exactness check, 0.6 becomes the double just below 3/5,
+        # and chi*w1 then lies above chi1.
+        monkeypatch.setattr(curves, "exact", lambda x, what: Fraction(x))
+        w = Polarization.from_w1(0.6)
+        assert w.w1 == Fraction(5404319552844595, 9007199254740992)
+        assert violated_conditions(GluingDatum(2, 1, -12, -6), w) == [
+            "chi*w1 <= chi1",
+            "chi2 <= chi*w2 + r",
+        ]
 
     def test_kernel_subsheaves_destabilize_exactly_at_violations(self):
         # Oracle for the two-comparison evaluation: K1 out-slopes the glued
@@ -74,15 +95,13 @@ class TestFeasibleInterval:
     def test_chi_zero_full_interval(self):
         report = feasible_interval(2, 2, 1, 1)
         assert report.feasible
-        assert report.w1_interval == RationalInterval.open(0, 1)
+        assert report.w1_interval == OPEN_UNIT
         assert report.chi == 0
 
     def test_positive_chi_closed_interval(self):
         report = feasible_interval(2, 1, 2, 3)
         assert report.feasible
-        assert report.w1_interval == RationalInterval.closed(
-            Fraction(1, 3), Fraction(2, 3)
-        )
+        assert report.w1_interval == closed(Fraction(1, 3), Fraction(2, 3))
         assert report.sample == HALF
 
     def test_infeasible_boundary(self):
@@ -95,7 +114,7 @@ class TestFeasibleInterval:
     def test_negative_chi(self):
         report = feasible_interval(2, 2, 0, 1)
         assert report.feasible
-        assert report.w1_interval == RationalInterval.open(0, 1)
+        assert report.w1_interval == OPEN_UNIT
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_k_out_of_range(self, k):
@@ -130,15 +149,14 @@ class TestInRegion:
         assert not in_region(3, 1, 5, -4)
 
     def test_all_k_examples(self):
-        assert in_region_all_k(2, 1, 2)
-        assert in_region_all_k(2, 2, 2)
-        assert in_region_all_k(2, 0, 0)
+        for point in [(1, 2), (2, 2), (0, 0)]:
+            assert all(in_region(2, k, *point) for k in (1, 2))
 
     def test_all_k_sample_valid_for_every_k(self):
         for chi1 in range(-6, 7):
             for chi2 in range(-6, 7):
                 for r in (2, 3, 4):
-                    report = feasible_interval_all_k(r, chi1, chi2)
+                    report = feasible_interval(r, 1, chi1, chi2)
                     assert report.feasible == in_region(r, 1, chi1, chi2)
                     if report.feasible:
                         for k in range(1, r + 1):
@@ -179,9 +197,9 @@ def _mirrored(interval: RationalInterval) -> RationalInterval:
     """Image of an interval under w -> 1 - w."""
     if interval.is_empty:
         return RationalInterval.empty()
-    lower = None if interval.upper is None else 1 - interval.upper
-    upper = None if interval.lower is None else 1 - interval.lower
-    return RationalInterval(lower, upper, interval.upper_open, interval.lower_open)
+    return RationalInterval(
+        1 - interval.upper, 1 - interval.lower, interval.upper_open, interval.lower_open
+    )
 
 
 class TestIntervalSymmetry:
@@ -207,7 +225,7 @@ class TestRegionScan:
         rows = region_scan(2, 1, (0, 0), (2, 2))
         assert len(rows) == 1
         chi1, chi2, ok, interval = rows[0]
-        assert ok and interval == RationalInterval.open(0, 1)
+        assert ok and interval == OPEN_UNIT
 
     def test_empty_range(self):
         assert region_scan(2, 1, (3, 2), (0, 5)) == []
@@ -251,7 +269,7 @@ def _kernel_mismatches():
         if (
             (got.lower, got.upper, got.lower_open, got.upper_open)
             != (want.lower, want.upper, want.lower_open, want.upper_open)
-            or sample != want.sample()
+            or sample != oracles.sample(want)
             or report.feasible == want.is_empty
         ):
             yield case, report, want

@@ -350,7 +350,8 @@ class TestDatumSigma:
         assert datum.sigma == tuple(tuple(map(Fraction, row)) for row in sigma)
 
     def test_float_in_a_tuple_row_is_refused(self):
-        with pytest.raises(ValueError, match="float"):
+        message = r"^matrix entries must be exact rationals, got the float 1\.0$"
+        with pytest.raises(ValueError, match=message):
             GluingDatum(2, None, 0, 0, sigma=((1, 0), (0, 1.0)))
 
 
