@@ -39,7 +39,7 @@ from .moduli import (
     is_generic_for,
     projective_bundle_dimension,
 )
-from .rationals import Rational, RationalInterval, format_rational, parse_rational
+from .rationals import RationalInterval, format_rational, parse_rational
 from .stability import (
     NecessaryConditionError,
     StabilityHypotheses,
@@ -60,7 +60,6 @@ __all__ = [
     "NecessaryConditionError",
     "NodalCurve",
     "Polarization",
-    "Rational",
     "RationalInterval",
     "SheafClass",
     "StabilityHypotheses",

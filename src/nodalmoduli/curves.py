@@ -9,24 +9,21 @@ optionally the characteristics of the restrictions to the two components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .rationals import exact, format_rational
 
 
-@dataclass(frozen=True)
-class NodalCurve:
+class NodalCurve(Record):
     """Two smooth components of genus g1 and g2 meeting at one node."""
 
-    g1: int
-    g2: int
-
-    def __post_init__(self) -> None:
-        if self.g1 < 1 or self.g2 < 1:
-            raise ValueError(
-                f"component genera must be >= 1, got ({self.g1}, {self.g2})"
-            )
+    def __init__(self, g1: int, g2: int) -> None:
+        if g1 < 1 or g2 < 1:
+            raise ValueError(f"component genera must be >= 1, got ({g1}, {g2})")
+        fields = self.__dict__
+        fields["g1"] = g1
+        fields["g2"] = g2
 
     @property
     def arithmetic_genus(self) -> int:
@@ -34,8 +31,7 @@ class NodalCurve:
         return self.g1 + self.g2
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Record):
     """Rational weights (w1, w2) with w1 + w2 = 1 and 0 < wi < 1.
 
     Invalid weights are rejected at construction, never normalized: a caller
@@ -44,20 +40,18 @@ class Polarization:
     compatibility bound.
     """
 
-    w1: Fraction
-    w2: Fraction
-
-    def __post_init__(self) -> None:
-        w1 = Fraction(exact(self.w1, "weights"))
-        w2 = Fraction(exact(self.w2, "weights"))
+    def __init__(self, w1: Fraction, w2: Fraction) -> None:
+        w1 = Fraction(exact(w1, "weights"))
+        w2 = Fraction(exact(w2, "weights"))
         if not (0 < w1 < 1 and 0 < w2 < 1):
             raise ValueError(
                 f"weights must lie strictly between 0 and 1, got ({w1}, {w2})"
             )
         if w1 + w2 != 1:
             raise ValueError(f"weights must sum to 1, got {w1} + {w2} = {w1 + w2}")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
+        fields = self.__dict__
+        fields["w1"] = w1
+        fields["w2"] = w2
 
     @classmethod
     def from_w1(cls, w1) -> "Polarization":
@@ -68,25 +62,31 @@ class Polarization:
         return {"w1": format_rational(self.w1), "w2": format_rational(self.w2)}
 
 
-@dataclass(frozen=True)
-class SheafClass:
+class SheafClass(Record):
     """Numerical invariants of a depth-one sheaf: multirank and characteristics.
 
     chi1/chi2 record the characteristics of the two restrictions when known.
     The zero sheaf (both ranks zero) is rejected: its slope has no convention.
     """
 
-    r1: int
-    r2: int
-    chi: int
-    chi1: int | None = None
-    chi2: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError(f"ranks must be >= 0, got ({self.r1}, {self.r2})")
-        if self.r1 + self.r2 == 0:
+    def __init__(
+        self,
+        r1: int,
+        r2: int,
+        chi: int,
+        chi1: int | None = None,
+        chi2: int | None = None,
+    ) -> None:
+        if r1 < 0 or r2 < 0:
+            raise ValueError(f"ranks must be >= 0, got ({r1}, {r2})")
+        if r1 + r2 == 0:
             raise ValueError("zero sheaf has no slope; ranks must not both vanish")
+        fields = self.__dict__
+        fields["r1"] = r1
+        fields["r2"] = r2
+        fields["chi"] = chi
+        fields["chi1"] = chi1
+        fields["chi2"] = chi2
 
     def to_json(self) -> dict:
         return {

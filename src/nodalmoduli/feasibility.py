@@ -21,10 +21,10 @@ over the common denominator |chi| (the fraction-free idiom of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from ._record import Record
 from .curves import Polarization
 from .gluing import GluingDatum, validate_ranks
 from .rationals import RationalInterval
@@ -33,8 +33,7 @@ from .rationals import RationalInterval
 Bounds = tuple[int, int, int, bool, bool]
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record):
     """Outcome of the weight-existence problem for one (r, k, chi1, chi2).
 
     ``w1_interval`` is already intersected with the open unit interval, so
@@ -42,10 +41,18 @@ class FeasibilityReport:
     compatible polarization when one exists (interval midpoint).
     """
 
-    feasible: bool
-    w1_interval: RationalInterval
-    sample: Polarization | None
-    chi: int
+    def __init__(
+        self,
+        feasible: bool,
+        w1_interval: RationalInterval,
+        sample: Polarization | None,
+        chi: int,
+    ) -> None:
+        fields = self.__dict__
+        fields["feasible"] = feasible
+        fields["w1_interval"] = w1_interval
+        fields["sample"] = sample
+        fields["chi"] = chi
 
     def to_json(self) -> dict:
         return {

@@ -9,64 +9,70 @@ which case k is computed from it by fraction-free elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .curves import SheafClass
 from .rationals import exact, parse_ratio
 
 Matrix = tuple[tuple[Fraction | int, ...], ...]
 
 
-@dataclass(frozen=True)
-class StalkType:
+class StalkType(Record):
     """Multiplicities (a, b, c) of the free part and the two torsion parts
     of the stalk at the node."""
 
-    a: int
-    b: int
-    c: int
+    def __init__(self, a: int, b: int, c: int) -> None:
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        fields["c"] = c
 
     def to_json(self) -> list[int]:
         return [self.a, self.b, self.c]
 
 
-@dataclass(frozen=True)
-class GluingDatum:
+class GluingDatum(Record):
     """A gluing of rank r with fiber map of rank k and characteristics chi_i.
 
     ``k=None`` with an explicit sigma derives k from the matrix; giving both
     requires them to agree.  The fiber map must be nonzero (k >= 1).
     """
 
-    r: int
-    k: int | None
-    chi1: int
-    chi2: int
-    sigma: Matrix | None = None
-
-    def __post_init__(self) -> None:
-        validate_ranks(self.r)
-        if self.sigma is not None:
+    def __init__(
+        self,
+        r: int,
+        k: int | None,
+        chi1: int,
+        chi2: int,
+        sigma: Matrix | None = None,
+    ) -> None:
+        validate_ranks(r)
+        if sigma is not None:
             # Rows that are already tuples of ints (parse_matrix's) are kept.
             sigma = tuple(
                 row
                 if type(row) is tuple and all(type(x) is int for x in row)
                 else tuple(exact(x, "matrix entries") for x in row)
-                for row in self.sigma
+                for row in sigma
             )
-            if len(sigma) != self.r or any(len(row) != self.r for row in sigma):
-                raise ValueError(f"sigma must be a {self.r}x{self.r} matrix")
-            object.__setattr__(self, "sigma", sigma)
+            if len(sigma) != r or any(len(row) != r for row in sigma):
+                raise ValueError(f"sigma must be a {r}x{r} matrix")
             rank = matrix_rank(sigma)
-            if self.k is None:
-                object.__setattr__(self, "k", rank)
-            elif self.k != rank:
-                raise ValueError(f"declared k={self.k} but sigma has rank {rank}")
-        if self.k is None:
+            if k is None:
+                k = rank
+            elif k != rank:
+                raise ValueError(f"declared k={k} but sigma has rank {rank}")
+        if k is None:
             raise ValueError("either k or an explicit sigma matrix is required")
-        validate_ranks(self.r, self.k)
+        validate_ranks(r, k)
+        fields = self.__dict__
+        fields["r"] = r
+        fields["k"] = k
+        fields["chi1"] = chi1
+        fields["chi2"] = chi2
+        fields["sigma"] = sigma
 
     @property
     def chi(self) -> int:

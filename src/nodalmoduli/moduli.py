@@ -8,22 +8,23 @@ every component has the same dimension r^2(g1 + g2 - 1) + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record
 from .curves import NodalCurve, Polarization, chi_to_degree, dim_moduli_smooth
 from .gluing import validate_ranks
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(Record):
     """One irreducible component, keyed by its characteristic pair."""
 
-    chi1: int
-    chi2: int
-    d1: int
-    d2: int
-    dimension: int
+    def __init__(self, chi1: int, chi2: int, d1: int, d2: int, dimension: int) -> None:
+        fields = self.__dict__
+        fields["chi1"] = chi1
+        fields["chi2"] = chi2
+        fields["d1"] = d1
+        fields["d2"] = d2
+        fields["dimension"] = dimension
 
     def to_json(self) -> dict:
         return {

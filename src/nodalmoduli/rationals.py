@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
+from ._record import Record
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -79,30 +78,30 @@ def exact(x: object, what: str) -> Fraction | int:
 _EMPTY = (Fraction(0), Fraction(0), True, True)
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(Record):
     """A bounded interval of rationals, each endpoint open or closed.
 
     Degenerate data (lower above upper, or a single point with an open end)
-    canonicalizes to *the* empty interval, so dataclass equality is interval
-    equality.
+    canonicalizes to *the* empty interval, so two intervals are equal
+    exactly when their fields are.
     """
 
-    lower: Fraction
-    upper: Fraction
-    lower_open: bool = False
-    upper_open: bool = False
-
-    def __post_init__(self) -> None:
-        lo = Fraction(exact(self.lower, "interval endpoints"))
-        up = Fraction(exact(self.upper, "interval endpoints"))
-        lo_open, up_open = self.lower_open, self.upper_open
-        if lo > up or (lo == up and (lo_open or up_open)):
-            lo, up, lo_open, up_open = _EMPTY
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower_open", lo_open)
-        object.__setattr__(self, "upper_open", up_open)
+    def __init__(
+        self,
+        lower: Fraction,
+        upper: Fraction,
+        lower_open: bool = False,
+        upper_open: bool = False,
+    ) -> None:
+        lower = Fraction(exact(lower, "interval endpoints"))
+        upper = Fraction(exact(upper, "interval endpoints"))
+        if lower > upper or (lower == upper and (lower_open or upper_open)):
+            lower, upper, lower_open, upper_open = _EMPTY
+        fields = self.__dict__
+        fields["lower"] = lower
+        fields["upper"] = upper
+        fields["lower_open"] = lower_open
+        fields["upper_open"] = upper_open
 
     @classmethod
     def empty(cls) -> "RationalInterval":

@@ -13,9 +13,9 @@ semistability at the level this model resolves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .curves import NodalCurve, Polarization, chi_to_degree, mk_slope, polarized_slope
 from .feasibility import violated_conditions
 from .gluing import GluingDatum, glued_class
@@ -29,35 +29,31 @@ class NecessaryConditionError(ValueError):
         self.violated = violated
 
 
-@dataclass(frozen=True)
-class StabilityHypotheses:
+class StabilityHypotheses(Record):
     """A gluing instance together with the component genera.
 
     Degrees d1, d2 are derived from the characteristics: di = chii - r(1-gi).
     Validation is by :class:`NodalCurve`, then :class:`GluingDatum`.
     """
 
-    r: int
-    k: int
-    chi1: int
-    chi2: int
-    g1: int
-    g2: int
-    d1: int = field(init=False)
-    d2: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        NodalCurve(self.g1, self.g2)
+    def __init__(self, r: int, k: int, chi1: int, chi2: int, g1: int, g2: int) -> None:
+        fields = self.__dict__
+        fields["r"] = r
+        fields["k"] = k
+        fields["chi1"] = chi1
+        fields["chi2"] = chi2
+        fields["g1"] = g1
+        fields["g2"] = g2
+        NodalCurve(g1, g2)
         self.gluing()
-        object.__setattr__(self, "d1", chi_to_degree(self.chi1, self.r, self.g1))
-        object.__setattr__(self, "d2", chi_to_degree(self.chi2, self.r, self.g2))
+        fields["d1"] = chi_to_degree(chi1, r, g1)
+        fields["d2"] = chi_to_degree(chi2, r, g2)
 
     def gluing(self) -> GluingDatum:
         return GluingDatum(self.r, self.k, self.chi1, self.chi2)
 
 
-@dataclass(frozen=True)
-class SubsheafInvariant:
+class SubsheafInvariant(Record):
     """Shape and kernel degrees of a candidate subsheaf.
 
     s is the free multiplicity of the stalk at the node; s1, s2 the component
@@ -65,20 +61,19 @@ class SubsheafInvariant:
     deg_g1, deg_g2 the degrees of the kernel bundles.
     """
 
-    s: int
-    s1: int
-    s2: int
-    deg_g1: int
-    deg_g2: int
-
-    def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError(f"free multiplicity must be >= 0, got {self.s}")
-        if self.s1 < self.s or self.s2 < self.s:
+    def __init__(self, s: int, s1: int, s2: int, deg_g1: int, deg_g2: int) -> None:
+        if s < 0:
+            raise ValueError(f"free multiplicity must be >= 0, got {s}")
+        if s1 < s or s2 < s:
             raise ValueError(
-                f"component ranks must be >= s, got s={self.s}, "
-                f"s1={self.s1}, s2={self.s2}"
+                f"component ranks must be >= s, got s={s}, s1={s1}, s2={s2}"
             )
+        fields = self.__dict__
+        fields["s"] = s
+        fields["s1"] = s1
+        fields["s2"] = s2
+        fields["deg_g1"] = deg_g1
+        fields["deg_g2"] = deg_g2
 
     def to_json(self) -> dict:
         return {
