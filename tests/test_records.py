@@ -185,12 +185,6 @@ def test_vars_is_exactly_the_five_fields(value, fields):
     assert list(vars(value)) == list(fields)
 
 
-def test_derived_degrees_are_stored_fields():
-    h = StabilityHypotheses(2, 1, 2, 3, 4, 4)
-    assert (h.d1, h.d2) == (8, 9)
-    assert list(vars(h)) == ["r", "k", "chi1", "chi2", "g1", "g2", "d1", "d2"]
-
-
 def test_every_record_class_is_covered():
     covered = {type(make()) for make, _, _ in RECORDS.values()}
     assert covered == {
