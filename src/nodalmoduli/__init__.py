@@ -10,7 +10,6 @@ from .curves import (
     Polarization,
     SheafClass,
     chi_to_degree,
-    degree_to_chi,
     dim_moduli_smooth,
     mk_slope,
     polarized_slope,
@@ -19,7 +18,6 @@ from .feasibility import (
     FeasibilityReport,
     feasible_interval,
     in_region,
-    necessary_conditions,
     region_scan,
     violated_conditions,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "check_sufficiency",
     "chi_to_degree",
     "component_dimension",
-    "degree_to_chi",
     "dim_moduli_smooth",
     "enumerate_components",
     "feasible_interval",
@@ -82,7 +79,6 @@ __all__ = [
     "max_degree_bounds",
     "mk_semistable_test",
     "mk_slope",
-    "necessary_conditions",
     "nonstable_locus_codim_bound",
     "parse_matrix",
     "parse_rational",

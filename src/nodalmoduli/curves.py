@@ -108,11 +108,6 @@ def chi_to_degree(chi_i: int, r_i: int, g_i: int) -> int:
     return chi_i - r_i * (1 - g_i)
 
 
-def degree_to_chi(d_i: int, r_i: int, g_i: int) -> int:
-    """Inverse of :func:`chi_to_degree`."""
-    return d_i + r_i * (1 - g_i)
-
-
 def dim_moduli_smooth(r: int, d: int, g: int) -> int:
     """Dimension of the moduli space of semistable rank-r, degree-d bundles
     on a smooth curve of genus g: r^2(g-1) + 1 for g >= 2, gcd(r, d) for g = 1.

@@ -7,12 +7,16 @@ inequalities
     chi*w1 <= chi1 <= chi*w1 + k
     chi*w2 + r - k <= chi2 <= chi*w2 + r
 
-hold, where chi = chi1 + chi2 - r and w2 = 1 - w1.  Solving for w1 gives a
-closed interval whose endpoints have denominator dividing |chi|; for chi = 0
-the system degenerates to the integer test 0 <= chi1 <= k and every weight
-works when it passes.  The admissible region is that interval intersected
-with the open unit interval of valid weights, so infeasibility is simply an
-empty intersection.
+hold, where chi = chi1 + chi2 - r and w2 = 1 - w1.  As chi2 = chi + r - chi1,
+the second line is the first rearranged: the system is the integer window of
+:func:`chi1_window`, and the irreducible components of the moduli space are
+exactly the compatible splittings chi1 + chi2 = chi + r at k = r.
+
+Solved for w1, the system gives a closed interval whose endpoints have
+denominator dividing |chi|; for chi = 0 it degenerates to the integer test
+0 <= chi1 <= k and every weight works when it passes.  The admissible region
+is that interval intersected with the open unit interval of valid weights,
+so infeasibility is simply an empty intersection.
 
 :func:`w1_bounds` computes the intersection in integers alone, as numerators
 over the common denominator |chi| (the fraction-free idiom of
@@ -21,8 +25,8 @@ over the common denominator |chi| (the fraction-free idiom of
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from ._record import Record
 from .curves import Polarization
@@ -63,24 +67,27 @@ class FeasibilityReport(Record):
         }
 
 
+def chi1_window(chi: int, w1: Fraction, k: int) -> tuple[int, int]:
+    """The integers chi1 with chi*w1 <= chi1 <= chi*w1 + k, as the range
+    (lo, hi) from ceil(chi*w1) to floor(chi*w1) + k; it holds k + 1 values
+    when chi*w1 is an integer and k otherwise."""
+    p, q = w1.numerator, w1.denominator
+    return -(-chi * p // q), (chi * p + k * q) // q
+
+
 def violated_conditions(u: GluingDatum, w: Polarization) -> list[str]:
     """Names of the compatibility inequalities that w fails, in system order.
 
-    With chi2 = chi + r - chi1 and w2 = 1 - w1, the fourth inequality is the
-    first rearranged and the third is the second, so the names fail in pairs;
-    as k >= 1, the first two cannot both fail.
+    The fourth inequality is the first rearranged and the third is the
+    second, so the names fail in pairs; as k >= 1, the first two cannot
+    both fail.
     """
-    lhs = u.chi * w.w1
-    if lhs > u.chi1:
+    lo, hi = chi1_window(u.chi, w.w1, u.k)
+    if u.chi1 < lo:
         return ["chi*w1 <= chi1", "chi2 <= chi*w2 + r"]
-    if u.chi1 > lhs + u.k:
+    if u.chi1 > hi:
         return ["chi1 <= chi*w1 + k", "chi*w2 + r - k <= chi2"]
     return []
-
-
-def necessary_conditions(u: GluingDatum, w: Polarization) -> bool:
-    """Whether w satisfies all four compatibility inequalities exactly."""
-    return not violated_conditions(u, w)
 
 
 def w1_bounds(r: int, k: int, chi1: int, chi2: int) -> Bounds | None:

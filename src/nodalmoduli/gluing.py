@@ -9,8 +9,8 @@ which case k is computed from it by fraction-free elimination.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._record import Record
 from .curves import SheafClass

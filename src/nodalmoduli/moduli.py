@@ -1,17 +1,16 @@
 """Irreducible components of the moduli space of rank-(r, r) classes.
 
-Components correspond to the integer splittings chi1 + chi2 = chi + r that
-fall inside the two-sided window conditions for the chosen polarization;
+Components are the compatible splittings at k = r (see ``feasibility``);
 every component has the same dimension r^2(g1 + g2 - 1) + 1.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._record import Record
 from .curves import NodalCurve, Polarization, chi_to_degree, dim_moduli_smooth
+from .feasibility import chi1_window
 from .gluing import validate_ranks
 
 
@@ -64,25 +63,21 @@ def fixed_det_fiber_dimension(c: NodalCurve, r: int) -> int:
 
 
 def is_generic_for(chi: int, w: Polarization) -> bool:
-    """Whether the window endpoints wi*chi are non-integral, so that neither
-    boundary of the component window sits on a lattice point."""
-    return (chi * w.w1).denominator != 1
+    """Whether chi*w1 is non-integral, so that neither end of the component
+    window (:func:`feasibility.chi1_window`) sits on a lattice point."""
+    return chi * w.w1.numerator % w.w1.denominator != 0
 
 
 def component_rows(
     c: NodalCurve, r: int, chi: int, w: Polarization
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """(chi1, chi2, d1, d2, dimension) of every component, lazily and sorted
-    by chi1 ascending: the splittings chi1 + chi2 = chi + r inside both
-    windows w_i chi <= chi_i <= w_i chi + r.  As w2 = 1 - w1, the second
-    window holds exactly when the first does.  r is checked at the call.
-
-    Both boundary values are included when w_i chi is an integer; that is
-    the non-generic case :func:`is_generic_for` detects, with r + 1 rows
-    instead of r.
+    by chi1 ascending: one row per chi1 in :func:`feasibility.chi1_window` at
+    k = r, so r + 1 rows in the non-generic case of :func:`is_generic_for`
+    and r otherwise.  r is checked at the call.
     """
     validate_ranks(r)
-    low1 = chi * w.w1
+    lo, hi = chi1_window(chi, w.w1, r)
     dimension = component_dimension(c, r)
     return (
         (
@@ -92,7 +87,7 @@ def component_rows(
             chi_to_degree(chi + r - chi1, r, c.g2),
             dimension,
         )
-        for chi1 in range(math.ceil(low1), math.floor(low1 + r) + 1)
+        for chi1 in range(lo, hi + 1)
     )
 
 

@@ -7,9 +7,12 @@ w1-interval is recomputed in ``Fraction`` arithmetic by sorting and
 intersecting, independently of the integer kernel ``w1_bounds``.  The
 interval algebra that reference needs (``closed``, ``intersect``,
 ``contains``, ``sample``) lives here, as free functions over the library's
-finite ``RationalInterval`` values.
+finite ``RationalInterval`` values.  The compatibility window
+chi*w1 <= chi1 <= chi*w1 + k, which the library computes in integers in
+``feasibility.chi1_window``, is restated here in ``Fraction`` arithmetic.
 """
 
+import math
 from fractions import Fraction
 
 from nodalmoduli.rationals import RationalInterval
@@ -75,6 +78,25 @@ def fraction_interval(r: int, k: int, chi1: int, chi2: int) -> RationalInterval:
         return OPEN_UNIT if 0 <= chi1 <= k else RationalInterval.empty()
     endpoints = sorted((Fraction(chi1 - k, chi), Fraction(chi1, chi)))
     return intersect(closed(*endpoints), OPEN_UNIT)
+
+
+def fraction_violated_conditions(u, w) -> list[str]:
+    """Reference for ``feasibility.violated_conditions``: chi*w1 is formed
+    as a ``Fraction`` and compared with chi1 on both sides of the window."""
+    lhs = u.chi * w.w1
+    if lhs > u.chi1:
+        return ["chi*w1 <= chi1", "chi2 <= chi*w2 + r"]
+    if u.chi1 > lhs + u.k:
+        return ["chi1 <= chi*w1 + k", "chi*w2 + r - k <= chi2"]
+    return []
+
+
+def fraction_component_chi1s(chi: int, w1: Fraction, r: int) -> list[int]:
+    """Reference for the chi1 column of ``moduli.component_rows``: the
+    integers from ceil(chi*w1) to floor(chi*w1 + r), rounded by ``math``
+    from the ``Fraction`` chi*w1."""
+    low1 = chi * w1
+    return list(range(math.ceil(low1), math.floor(low1 + r) + 1))
 
 
 def grid_feasible(r: int, k: int, chi1: int, chi2: int) -> bool:

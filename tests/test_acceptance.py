@@ -7,11 +7,11 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the summary lines.
 import random
 from fractions import Fraction
 
-from nodalmoduli.curves import NodalCurve, Polarization, degree_to_chi
+from nodalmoduli.curves import NodalCurve, Polarization
 from nodalmoduli.feasibility import (
     feasible_interval,
     in_region,
-    necessary_conditions,
+    violated_conditions,
 )
 from nodalmoduli.gluing import GluingDatum, glued_class
 from nodalmoduli.moduli import (
@@ -207,10 +207,10 @@ def test_criterion_9_component_enumeration_soundness():
         for rec in records:
             ok = (
                 rec.chi1 + rec.chi2 == chi + r
-                and rec.chi1 == degree_to_chi(rec.d1, r, g1)
-                and rec.chi2 == degree_to_chi(rec.d2, r, g2)
+                and rec.d1 == rec.chi1 - r * (1 - g1)
+                and rec.d2 == rec.chi2 - r * (1 - g2)
                 and rec.dimension == component_dimension(curve, r)
-                and necessary_conditions(GluingDatum(r, r, rec.chi1, rec.chi2), w)
+                and violated_conditions(GluingDatum(r, r, rec.chi1, rec.chi2), w) == []
             )
             if not ok:
                 failures.append((g1, g2, r, chi, w.w1, rec))

@@ -2,14 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from nodalmoduli.curves import (
     NodalCurve,
     Polarization,
     SheafClass,
     chi_to_degree,
-    degree_to_chi,
     dim_moduli_smooth,
     mk_slope,
     polarized_slope,
@@ -115,17 +113,6 @@ class TestChiDegree:
     def test_examples(self):
         assert chi_to_degree(1, 2, 2) == 3
         assert chi_to_degree(0, 5, 1) == 0
-
-    @given(
-        st.integers(-100, 100), st.integers(0, 100), st.integers(1, 100)
-    )
-    def test_mutually_inverse(self, x, r, g):
-        assert degree_to_chi(chi_to_degree(x, r, g), r, g) == x
-        assert chi_to_degree(degree_to_chi(x, r, g), r, g) == x
-
-    def test_round_trip_box(self):
-        for x in range(-50, 51):
-            assert degree_to_chi(chi_to_degree(x, 3, 4), 3, 4) == x
 
 
 class TestDimModuli:

@@ -9,7 +9,6 @@ from nodalmoduli import curves, feasibility
 from nodalmoduli.feasibility import (
     feasible_interval,
     in_region,
-    necessary_conditions,
     region_cells,
     region_scan,
     violated_conditions,
@@ -31,15 +30,15 @@ HALF = Polarization(Fraction(1, 2), Fraction(1, 2))
 
 class TestNecessaryConditions:
     def test_chi_zero_balanced(self):
-        assert necessary_conditions(GluingDatum(2, 2, 1, 1), HALF)
+        assert violated_conditions(GluingDatum(2, 2, 1, 1), HALF) == []
 
     def test_violated_upper(self):
         u = GluingDatum(2, 1, 2, 1)
-        assert not necessary_conditions(u, HALF)
+        assert violated_conditions(u, HALF) != []
         assert "chi*w2 + r - k <= chi2" in violated_conditions(u, HALF)
 
     def test_satisfied_positive_chi(self):
-        assert necessary_conditions(GluingDatum(2, 1, 2, 3), HALF)
+        assert violated_conditions(GluingDatum(2, 1, 2, 3), HALF) == []
 
     def test_boundary_weight_is_exact(self):
         # chi = -20 and chi*w1 = chi1 at w1 = 3/5: the weight is compatible.
@@ -161,7 +160,7 @@ class TestInRegion:
                     if report.feasible:
                         for k in range(1, r + 1):
                             u = GluingDatum(r, k, chi1, chi2)
-                            assert necessary_conditions(u, report.sample)
+                            assert violated_conditions(u, report.sample) == []
 
     def test_monotone_in_k(self):
         for r in (2, 3, 4):
@@ -190,7 +189,7 @@ class TestGridOracle:
                         report = feasible_interval(r, k, chi1, chi2)
                         if report.feasible:
                             u = GluingDatum(r, k, chi1, chi2)
-                            assert necessary_conditions(u, report.sample)
+                            assert violated_conditions(u, report.sample) == []
 
 
 def _mirrored(interval: RationalInterval) -> RationalInterval:

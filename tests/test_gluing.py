@@ -195,8 +195,8 @@ class TestMatrixRank:
             assert matrix_rank(m) == _rank_by_minors(m)
 
     def test_against_sympy(self):
-        # sympy is not a dependency; where installed it is an oracle that
-        # reaches sizes the minor expansion cannot.
+        # sympy, from the test extra, is an oracle that reaches sizes the
+        # minor expansion cannot.
         sympy = pytest.importorskip("sympy")
         rng = random.Random(4242)
         for _ in range(150):
