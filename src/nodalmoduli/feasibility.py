@@ -12,8 +12,8 @@ the second line is the first rearranged: the system is the integer window of
 :func:`chi1_window`, and the irreducible components of the moduli space are
 exactly the compatible splittings chi1 + chi2 = chi + r at k = r.
 
-Solved for w1, the system gives a closed interval whose endpoints have
-denominator dividing |chi|; for chi = 0 it degenerates to the integer test
+Solving for w1 gives a closed interval whose endpoints have denominator
+dividing |chi|; for chi = 0 the system degenerates to the integer test
 0 <= chi1 <= k and every weight works when it passes.  The admissible region
 is that interval intersected with the open unit interval of valid weights,
 so infeasibility is simply an empty intersection.

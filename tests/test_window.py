@@ -142,10 +142,3 @@ def test_negative_control_floored_window_is_caught(monkeypatch, name):
     gate_cases, component_cases = CASES[name]
     assert first_gate_mismatch(gate_cases()) is not None
     assert first_component_mismatch(component_cases()) is not None
-
-
-def test_window_examples():
-    half = Fraction(1, 2)
-    assert feasibility.chi1_window(3, half, 1) == (2, 2)  # 3/2 <= chi1 <= 5/2
-    assert feasibility.chi1_window(-3, half, 2) == (-1, 0)  # -3/2 .. 1/2
-    assert feasibility.chi1_window(4, half, 2) == (2, 4)  # ends on lattice points
