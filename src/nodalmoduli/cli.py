@@ -15,13 +15,14 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
 from fractions import Fraction
 
 from .curves import NodalCurve, Polarization
-from .feasibility import feasible_interval, region_cells
+from .feasibility import feasible_interval, region_runs
 from .gluing import GluingDatum, glued_class, parse_matrix
 from .moduli import (
     component_dimension,
@@ -36,9 +37,14 @@ from .stability import StabilityHypotheses, check_sufficiency, mk_semistable_tes
 MAX_CELLS_ENV = "NODAL_MODULI_MAX_CELLS"
 DEFAULT_MAX_CELLS = 10**6
 
-# Rows per write of a streamed region or component list: enough to amortise
-# the write, few enough that memory stays flat in the size of the output.
+# Rows per write (at most, for a region) of a streamed region or component
+# list: enough to amortise the write, few enough that memory stays flat in
+# the size of the output.
 REGION_BATCH = 1000
+
+# Region runs of at most this many cells are laid out cell by cell: filling
+# a template costs more than it saves on a few cells.
+SHORT_RUN = 8
 
 _JSON_BOOL = {False: "false", True: "true"}
 
@@ -95,14 +101,14 @@ def _emit(args, outputs: dict, warnings=()) -> None:
     print(_document(args, outputs, warnings))
 
 
-def _emit_streamed(args, outputs: dict, key: str, texts, warnings=()) -> None:
+def _emit_streamed(args, outputs: dict, key: str, batches, warnings=()) -> None:
     """Print the document whose outputs[key] is [] with the JSON texts
-    streamed into those brackets, REGION_BATCH at a time.  There must be at
-    least one text."""
+    streamed into those brackets one batch (of texts joined by ",\n") per
+    write.  There must be at least one batch."""
     text = _document(args, outputs, warnings)
     head, _, tail = text.partition(f'"{key}": []')
     sys.stdout.write(head + f'"{key}": [\n')
-    _write_joined(texts, ",\n")
+    _write_batches(batches, ",\n")
     sys.stdout.write("\n    ]" + tail + "\n")
 
 
@@ -110,21 +116,14 @@ def _cmd_feasible(args) -> None:
     _emit(args, feasible_interval(args.r, args.k, args.chi1, args.chi2).to_json())
 
 
-def _json_cells(cells):
-    """The text of each region cell (chi1, chi2, bounds), laid out exactly as
-    json.dumps(..., sort_keys=True, indent=2) lays it out inside "cells"; an
-    empty interval is written as the open (0, 0)."""
-    for chi1, chi2, bounds in cells:
-        if bounds is None:
-            feasible, lower, lower_open, upper, upper_open = (
-                "false", "0", "true", "0", "true"
-            )
-        else:
-            lo, hi, den, lo_open, hi_open = bounds
-            feasible = "true"
-            lower, lower_open = format_ratio(lo, den), _JSON_BOOL[lo_open]
-            upper, upper_open = format_ratio(hi, den), _JSON_BOOL[hi_open]
-        yield f"""\
+def _json_cell(chi1, chi2, lower, upper, lower_open, upper_open) -> str:
+    """The text of one region cell, laid out exactly as json.dumps(...,
+    sort_keys=True, indent=2) lays it out inside "cells"; lower is None on
+    an infeasible cell, which is written as the open (0, 0)."""
+    feasible = "true"
+    if lower is None:
+        feasible, lower, upper, lower_open, upper_open = "false", "0", "0", "true", "true"
+    return f"""\
       {{
         "chi1": {chi1},
         "chi2": {chi2},
@@ -138,18 +137,125 @@ def _json_cells(cells):
       }}"""
 
 
-def _csv_rows(cells):
-    """The CSV row of each region cell (chi1, chi2, bounds); the four
-    interval columns are empty on an infeasible row."""
-    for chi1, chi2, bounds in cells:
-        if bounds is None:
-            yield f"{chi1},{chi2},false,,,,\n"
+def _csv_row(chi1, chi2, lower, upper, lower_open, upper_open) -> str:
+    """The CSV row of one region cell; lower is None on an infeasible cell,
+    whose four interval columns are empty."""
+    if lower is None:
+        return f"{chi1},{chi2},false,,,,\n"
+    return f"{chi1},{chi2},true,{lower},{upper},{lower_open},{upper_open}\n"
+
+
+# Marks the fields in which the cells of one run differ: chi2 and the closed
+# endpoints.
+_SLOT = "\0"
+
+
+def _laid_out(runs, layout, sep: str):
+    """The cells of region_runs' runs laid out by layout and joined by sep,
+    in texts of at most REGION_BATCH cells.
+
+    A run of at most SHORT_RUN cells is laid out cell by cell.  A longer
+    one is laid out once with _SLOT in its varying fields, and _run_text
+    fills the slots, at most REGION_BATCH cells at a time.
+    """
+    batch, room = [], REGION_BATCH
+    for chi1, first, last, bounds, step in runs:
+        if first == last:
+            # The common case in a narrow box, kept free of loops.
+            if bounds is None:
+                batch.append(layout(chi1, first, None, None, None, None))
+            else:
+                lo, hi, den, lo_open, hi_open = bounds
+                batch.append(layout(
+                    chi1, first, format_ratio(lo, den), format_ratio(hi, den),
+                    _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
+                ))
+            room -= 1
+        elif last - first < SHORT_RUN:
+            if last - first >= room:
+                yield sep.join(batch)
+                batch, room = [], REGION_BATCH
+            room -= last - first + 1
+            chi2s = range(first, last + 1)
+            if bounds is None:
+                batch += [layout(chi1, chi2, None, None, None, None) for chi2 in chi2s]
+            else:
+                lo, hi, den, lo_open, hi_open = bounds
+                lower_open, upper_open = _JSON_BOOL[lo_open], _JSON_BOOL[hi_open]
+                for chi2 in chi2s:
+                    upper = format_ratio(den if hi_open else hi, den)
+                    batch.append(layout(
+                        chi1, chi2, format_ratio(lo, den), upper, lower_open, upper_open
+                    ))
+                    den += step
         else:
-            lo, hi, den, lo_open, hi_open = bounds
-            yield (
-                f"{chi1},{chi2},true,{format_ratio(lo, den)},{format_ratio(hi, den)},"
-                f"{_JSON_BOOL[lo_open]},{_JSON_BOOL[hi_open]}\n"
-            )
+            if bounds is None:
+                template = layout(chi1, _SLOT, None, None, None, None)
+                ends, den = (), 0
+            else:
+                lo, hi, den, lo_open, hi_open = bounds
+                template = layout(
+                    chi1, _SLOT, "0" if lo_open else _SLOT, "1" if hi_open else _SLOT,
+                    _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
+                )
+                ends = [end for end, is_open in ((lo, lo_open), (hi, hi_open)) if not is_open]
+            pieces = template.split(_SLOT)
+            while True:
+                n = min(room, last - first + 1)
+                batch.append(_run_text(pieces, ends, range(first, first + n), den, step, sep))
+                first, den, room = first + n, den + step * n, room - n
+                if first > last:
+                    break
+                yield sep.join(batch)
+                batch, room = [], REGION_BATCH
+        if not room:
+            yield sep.join(batch)
+            batch, room = [], REGION_BATCH
+    if batch:
+        yield sep.join(batch)
+
+
+def _run_text(pieces, ends, chi2s, den, step, sep: str) -> str:
+    """The cells chi2s of one run joined by sep: pieces is the run's layout
+    cut at its slots, and ends holds the numerators of its closed endpoints,
+    over a denominator that starts at den and moves by step per cell.
+
+    Without a closed end the cells differ in chi2 alone, so they are one
+    join over the chi2 values.  A closed endpoint lies strictly inside
+    (0, 1), so it is never an integer, and its "p/q" is written from one gcd
+    per cell.
+    """
+    if not ends:
+        head, tail = pieces
+        return head + (tail + sep + head).join(map(str, chi2s)) + tail
+    dens = range(den, den + step * len(chi2s), step)
+    if len(ends) == 1:
+        head, mid, tail = pieces
+        (e,) = ends
+        return sep.join(
+            f"{head}{c}{mid}{e // g}/{d // g}{tail}"
+            for c, d, g in zip(chi2s, dens, map(math.gcd, itertools.repeat(e), dens))
+        )
+    head, mid1, mid2, tail = pieces
+    lo, hi = ends
+    return sep.join(
+        f"{head}{c}{mid1}{lo // g}/{d // g}{mid2}{hi // h}/{d // h}{tail}"
+        for c, d, g, h in zip(
+            chi2s, dens,
+            map(math.gcd, itertools.repeat(lo), dens),
+            map(math.gcd, itertools.repeat(hi), dens),
+        )
+    )
+
+
+def _json_runs(runs):
+    """The "cells" texts of region runs, REGION_BATCH cells per text."""
+    return _laid_out(runs, _json_cell, ",\n")
+
+
+def _csv_runs(runs):
+    """The CSV rows of region runs, REGION_BATCH rows per text."""
+    return _laid_out(runs, _csv_row, "")
 
 
 def _json_components(rows):
@@ -172,12 +278,18 @@ def _csv_components(rows):
         yield f"{chi1},{chi2},{d1},{d2},{dimension}\n"
 
 
-def _write_joined(texts, sep: str) -> None:
-    """Write texts separated by sep, REGION_BATCH at a time."""
+def _batched(texts, sep: str):
+    """texts joined by sep, REGION_BATCH at a time."""
     texts = iter(texts)
-    lead = ""
     while batch := list(itertools.islice(texts, REGION_BATCH)):
-        sys.stdout.write(lead + sep.join(batch))
+        yield sep.join(batch)
+
+
+def _write_batches(batches, sep: str) -> None:
+    """Write each batch in its own write, separated by sep."""
+    lead = ""
+    for batch in batches:
+        sys.stdout.write(lead + batch)
         lead = sep
 
 
@@ -199,14 +311,14 @@ def _cmd_region(args) -> None:
     # Counted in ints: len(range(...)) overflows for bounds beyond ssize_t.
     count = max(0, hi1 - lo1 + 1) * max(0, hi2 - lo2 + 1)
     _check_work(count, "region of {} lattice points")
-    cells = region_cells(args.r, args.k, args.chi1, args.chi2)
+    runs = region_runs(args.r, args.k, args.chi1, args.chi2)
     if args.format == "csv":
         sys.stdout.write("chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open\n")
-        _write_joined(_csv_rows(cells), "")
+        _write_batches(_csv_runs(runs), "")
     elif count == 0:
         _emit(args, {"cells": [], "count": 0})
     else:
-        _emit_streamed(args, {"cells": [], "count": count}, "cells", _json_cells(cells))
+        _emit_streamed(args, {"cells": [], "count": count}, "cells", _json_runs(runs))
 
 
 def _cmd_components(args) -> None:
@@ -223,20 +335,25 @@ def _cmd_components(args) -> None:
         )
     if args.format == "csv":
         sys.stdout.write("chi1,chi2,d1,d2,dimension\n")
-        _write_joined(_csv_components(rows), "")
+        _write_batches(_batched(_csv_components(rows), ""), "")
         return
     # r rows, or r + 1 when both window boundaries are integers.
     outputs = {"components": [], "count": args.r + (not generic)}
-    _emit_streamed(args, outputs, "components", _json_components(rows), warnings)
+    batches = _batched(_json_components(rows), ",\n")
+    _emit_streamed(args, outputs, "components", batches, warnings)
 
 
 def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
     """The matrix in the JSON file at path, as parse_matrix's integer rows.
     An array of n rows is refused when its n^3 elimination updates exceed
     the cap, before any cell is decoded.  The decoded JSON dies on return,
-    so it is not held while the rank is eliminated."""
+    so it is not held while the rank is eliminated.  Arrays nested deeper
+    than the decoder's recursion limit are a ValueError, not a crash."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: arrays nested too deeply to decode") from None
     if isinstance(raw, list):
         _check_work(len(raw) ** 3, "rank elimination of {} entry updates")
     return parse_matrix(raw)
@@ -389,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         args.handler(args)
     except BrokenPipeError:
         raise  # the reader has gone; console_main ends quietly
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, sort_keys=True, indent=2))
         return 1

@@ -21,12 +21,24 @@ so infeasibility is simply an empty intersection.
 :func:`w1_bounds` computes the intersection in integers alone, as numerators
 over the common denominator |chi| (the fraction-free idiom of
 ``gluing.matrix_rank``); the ``Fraction``-valued reports are built from it.
+
+Along a row of fixed chi1 the system is linear in chi2, so the interval
+changes shape only at chi2 = r - k, r - min(k, chi1) and r and on the
+diagonal chi2 = r - chi1 (chi = 0).  Below the diagonal the row is
+feasible when chi1 < k and chi2 < r, its upper end open from r - k on;
+above it, when chi1 > 0 and chi2 > r - min(k, chi1), its upper end open up
+to r; on it, when 0 <= chi1 <= k.  The lower end is open throughout a
+side, or not, by chi1 alone.  So between those lines every cell has the
+same verdict and openness, and a closed endpoint is L/|chi| or U/|chi|
+with L and U fixed.  :func:`region_runs` cuts each row of a box into such
+runs, at most five per row, and :func:`region_cells` expands them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count
 
 from ._record import Record
 from .curves import Polarization
@@ -35,6 +47,13 @@ from .rationals import RationalInterval
 
 # (lo, hi, den, lo_open, hi_open): the w1-interval from lo/den to hi/den.
 Bounds = tuple[int, int, int, bool, bool]
+# (chi1, first, last, bounds, step): the cells (chi1, first..last) of one
+# run; bounds is w1_bounds at chi2 = first, and den moves by step per cell.
+Run = tuple[int, int, int, Bounds | None, int]
+
+# Rows of at most this many cells come as one-cell runs: finding the cuts
+# of a row costs about as much as deciding a few cells one by one.
+NARROW_ROW = 8
 
 
 class FeasibilityReport(Record):
@@ -152,6 +171,86 @@ def in_region(r: int, k: int, chi1: int, chi2: int) -> bool:
     return feasible_interval(r, k, chi1, chi2).feasible
 
 
+def _row_starts(r: int, k: int, chi1: int) -> tuple[int, ...]:
+    """The chi2 at which the runs of row chi1 after the first begin,
+    ascending, by the split in the module docstring; two adjacent runs
+    differ in verdict, openness or the sign of chi."""
+    d = r - chi1
+    if chi1 < 0:
+        return (r - k, r)
+    if chi1 == 0:
+        return (r - k, r, r + 1)
+    if chi1 < k:
+        return (r - k, d, d + 1, r + 1)
+    if chi1 == k:
+        return (d, d + 1, r + 1)
+    return (r - k + 1, r + 1)
+
+
+def _runs(r: int, k: int, chi1s: range, lo2: int, hi2: int) -> Iterator[Run]:
+    for chi1 in chi1s:
+        first = lo2
+        for start in (*_row_starts(r, k, chi1), hi2 + 1):
+            if start > first:
+                last = min(start - 1, hi2)
+                chi = chi1 + first - r
+                step = (chi > 0) - (chi < 0) if last > first else 0
+                yield chi1, first, last, w1_bounds(r, k, chi1, first), step
+                if last == hi2:
+                    break
+                first = start
+
+
+def _cell_runs(r: int, k: int, chi1s: range, chi2s: range) -> Iterator[Run]:
+    return (
+        (chi1, chi2, chi2, w1_bounds(r, k, chi1, chi2), 0)
+        for chi1 in chi1s
+        for chi2 in chi2s
+    )
+
+
+def region_runs(
+    r: int,
+    k: int,
+    chi1_range: tuple[int, int],
+    chi2_range: tuple[int, int],
+) -> Iterator[Run]:
+    """Feasibility over a lattice box of (chi1, chi2) pairs, one run of
+    cells of the same interval shape at a time.
+
+    A run (chi1, first, last, bounds, step) covers the cells (chi1, chi2)
+    for first <= chi2 <= last, and bounds is w1_bounds(r, k, chi1, first).
+    Along a feasible run chi keeps its sign, and only the denominator moves,
+    by step per cell (the sign of chi); an open upper end follows it.  A
+    one-cell run carries step 0.  Runs come chi1-major, chi2 ascending,
+    tiling each row of the box; a row wider than NARROW_ROW cells is cut
+    into at most five, a narrower one into one-cell runs.  r and k are
+    checked before anything is returned, and a box beyond ssize_t is walked
+    lazily.
+    """
+    (lo1, hi1), (lo2, hi2) = chi1_range, chi2_range
+    validate_ranks(r, k)
+    chi1s = range(lo1, hi1 + 1)
+    if lo2 > hi2:
+        return iter(())
+    if hi2 - lo2 < NARROW_ROW:
+        return _cell_runs(r, k, chi1s, range(lo2, hi2 + 1))
+    return _runs(r, k, chi1s, lo2, hi2)
+
+
+def _run_cells(run: Run) -> Iterator[tuple[int, int, Bounds | None]]:
+    """The (chi1, chi2, w1_bounds(...)) triple of every cell of a run."""
+    chi1, first, last, bounds, step = run
+    chi2s = range(first, last + 1)
+    if bounds is None:
+        return ((chi1, chi2, None) for chi2 in chi2s)
+    lo, hi, den, lo_open, hi_open = bounds
+    return (
+        (chi1, chi2, (lo, d if hi_open else hi, d, lo_open, hi_open))
+        for chi2, d in zip(chi2s, count(den, step))
+    )
+
+
 def region_cells(
     r: int,
     k: int,
@@ -162,17 +261,11 @@ def region_cells(
 
     r and k are checked before anything is returned, so bad ranks fail even
     when the box is empty.  The iterator yields (chi1, chi2, w1_bounds(...))
-    chi1-major, chi2-minor, both ascending, and walks even a box beyond
-    ssize_t lazily.
+    chi1-major, chi2-minor, both ascending, expanded from
+    :func:`region_runs`, and walks even a box beyond ssize_t lazily.
     """
-    (lo1, hi1), (lo2, hi2) = chi1_range, chi2_range
-    validate_ranks(r, k)
-    chi2s = range(lo2, hi2 + 1)
-    return (
-        (chi1, chi2, w1_bounds(r, k, chi1, chi2))
-        for chi1 in range(lo1, hi1 + 1)
-        for chi2 in chi2s
-    )
+    runs = region_runs(r, k, chi1_range, chi2_range)
+    return (cell for run in runs for cell in _run_cells(run))
 
 
 def region_scan(

@@ -20,8 +20,8 @@ from nodalmoduli.curves import NodalCurve, Polarization
 from nodalmoduli.feasibility import (
     feasible_interval,
     region_cells,
+    region_runs,
     region_scan,
-    w1_bounds,
 )
 from nodalmoduli.gluing import GluingDatum, matrix_rank
 from nodalmoduli.moduli import enumerate_components
@@ -348,6 +348,31 @@ class TestRegionStreaming:
         assert message in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_region_writes_at_most_a_batch_of_cells(fmt):
+    # Long constant runs, runs cut at a batch boundary, short runs and
+    # one-cell rows: no write may hold more than REGION_BATCH cells.
+    class Writes:
+        def __init__(self):
+            self.cells = []
+
+        def write(self, text):
+            self.cells.append(text.count('"chi1"') if fmt == "json" else text.count("\n"))
+            return len(text)
+
+    boxes = [("0:0", "-30000:29999"), ("-1200:1200", "2:2"), ("-60:60", "-70:70"),
+             ("-400:400", "-3:9"), ("-3:3", "-2999:2999")]
+    for chi1, chi2 in boxes:
+        writes = Writes()
+        with contextlib.redirect_stdout(writes):
+            assert main(["region", "--r", "4", "--k", "2", f"--chi1={chi1}",
+                         f"--chi2={chi2}", "--format", fmt]) == 0
+        (lo1, hi1), (lo2, hi2) = cli.int_range_arg(chi1), cli.int_range_arg(chi2)
+        # The CSV header line and the JSON inputs echo count once more.
+        assert sum(writes.cells) == (hi1 - lo1 + 1) * (hi2 - lo2 + 1) + 1
+        assert max(writes.cells) <= cli.REGION_BATCH, (chi1, chi2)
+
+
 # One cell of each kind the region encoders meet: (r, k, chi1, chi2).
 ENCODER_CELLS = {
     "infeasible": (2, 1, 2, 1),
@@ -385,7 +410,8 @@ class TestRegionEncoders:
             "w1_interval": report.w1_interval.to_json(),
         }
         want = textwrap.indent(json.dumps(cell, sort_keys=True, indent=2), " " * 6)
-        assert list(cli._json_cells([(chi1, chi2, w1_bounds(r, k, chi1, chi2))])) == [want]
+        runs = region_runs(r, k, (chi1, chi1), (chi2, chi2))
+        assert list(cli._json_runs(runs)) == [want]
 
     @pytest.mark.parametrize("kind", ENCODER_CELLS)
     def test_csv_row_follows_the_report(self, kind):
@@ -403,21 +429,20 @@ class TestRegionEncoders:
                 json.dumps(interval["upper_open"]),
             ]
         want = ",".join([str(chi1), str(chi2), json.dumps(doc["feasible"]), *fields])
-        assert list(cli._csv_rows([(chi1, chi2, w1_bounds(r, k, chi1, chi2))])) == [
-            want + "\n"
-        ]
+        runs = region_runs(r, k, (chi1, chi1), (chi2, chi2))
+        assert list(cli._csv_runs(runs)) == [want + "\n"]
 
-    @pytest.mark.parametrize("fmt, name", [("json", "_json_cells"), ("csv", "_csv_rows")])
+    @pytest.mark.parametrize("fmt, name", [("json", "_json_runs"), ("csv", "_csv_runs")])
     def test_negative_control_swapped_openness_is_caught(
         self, capsys, monkeypatch, fmt, name
     ):
         real = getattr(cli, name)
 
-        def swapped(cells):
+        def swapped(runs):
             # The real encoder's text with lower_open and upper_open exchanged.
             yield from real(
-                (chi1, chi2, None if b is None else (b[0], b[1], b[2], b[4], b[3]))
-                for chi1, chi2, b in cells
+                (chi1, first, last, None if b is None else (*b[:3], b[4], b[3]), step)
+                for chi1, first, last, b, step in runs
             )
 
         monkeypatch.setattr(cli, name, swapped)

@@ -182,6 +182,9 @@ CASES = {
     "glue_malformed_json": (
         ["glue", "--matrix", "malformed.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
+    "glue_deep_nesting": (
+        ["glue", "--matrix", "deep_nesting.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
     "check_sufficiency_default_weight": (
         ["check-sufficiency", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "2",
          "--g1", "2", "--g2", "2"],
