@@ -42,10 +42,6 @@ DEFAULT_MAX_CELLS = 10**6
 # the size of the output.
 REGION_BATCH = 1000
 
-# Region runs of at most this many cells are laid out cell by cell: filling
-# a template costs more than it saves on a few cells.
-SHORT_RUN = 8
-
 _JSON_BOOL = {False: "false", True: "true"}
 
 # Parsed arguments that are not inputs of the command.
@@ -154,9 +150,9 @@ def _laid_out(runs, layout, sep: str):
     """The cells of region_runs' runs laid out by layout and joined by sep,
     in texts of at most REGION_BATCH cells.
 
-    A run of at most SHORT_RUN cells is laid out cell by cell.  A longer
-    one is laid out once with _SLOT in its varying fields, and _run_text
-    fills the slots, at most REGION_BATCH cells at a time.
+    A one-cell run is laid out directly.  A longer one is laid out once
+    with _SLOT in its varying fields, and _run_text fills the slots, at
+    most REGION_BATCH cells at a time.
     """
     batch, room = [], REGION_BATCH
     for chi1, first, last, bounds, step in runs:
@@ -171,23 +167,6 @@ def _laid_out(runs, layout, sep: str):
                     _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
                 ))
             room -= 1
-        elif last - first < SHORT_RUN:
-            if last - first >= room:
-                yield sep.join(batch)
-                batch, room = [], REGION_BATCH
-            room -= last - first + 1
-            chi2s = range(first, last + 1)
-            if bounds is None:
-                batch += [layout(chi1, chi2, None, None, None, None) for chi2 in chi2s]
-            else:
-                lo, hi, den, lo_open, hi_open = bounds
-                lower_open, upper_open = _JSON_BOOL[lo_open], _JSON_BOOL[hi_open]
-                for chi2 in chi2s:
-                    upper = format_ratio(den if hi_open else hi, den)
-                    batch.append(layout(
-                        chi1, chi2, format_ratio(lo, den), upper, lower_open, upper_open
-                    ))
-                    den += step
         else:
             if bounds is None:
                 template = layout(chi1, _SLOT, None, None, None, None)

@@ -119,6 +119,26 @@ class TestGlue:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
+    def test_decoder_recursion_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        # How deep json.load decodes depends on the interpreter, so the
+        # decoder is made to give up on this file whatever its limit.
+        depth = 10 * sys.getrecursionlimit()
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+
+        def load(fh):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli.json, "load", load)
+        code, out, err = run(
+            capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
+        )
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {
+            "message": f"{path}: arrays nested too deeply to decode",
+            "type": "ValueError",
+        }
+
     def test_zero_matrix_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps([["0", "0"], ["0", "0"]]))
