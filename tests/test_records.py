@@ -8,6 +8,7 @@ refusing to be changed after construction, and shown as
 their instance dictionaries must hold exactly their five fields.
 """
 
+import json
 import pickle
 from fractions import Fraction
 
@@ -199,3 +200,83 @@ def test_every_record_class_is_covered():
         StalkType,
         SubsheafInvariant,
     }
+
+
+# (a value, its JSON form written out by hand).  Each record's JSON form is
+# its fields by name: a nested record as its own JSON form, a Fraction as its
+# "p/q" text (a bare integer when the denominator is 1), None as None.
+JSON_FORMS = {
+    "Polarization": (
+        Polarization(Fraction(1, 3), Fraction(2, 3)),
+        {"w1": "1/3", "w2": "2/3"},
+    ),
+    "SheafClass": (
+        SheafClass(3, 0, -4, -1, 2),
+        {"r1": 3, "r2": 0, "chi": -4, "chi1": -1, "chi2": 2},
+    ),
+    "SheafClass-unknown-restrictions": (
+        SheafClass(2, 2, 1),
+        {"r1": 2, "r2": 2, "chi": 1, "chi1": None, "chi2": None},
+    ),
+    "RationalInterval": (
+        RationalInterval(Fraction(-3, 2), Fraction(2)),
+        {"lower": "-3/2", "upper": "2", "lower_open": False, "upper_open": False},
+    ),
+    "RationalInterval-negative-integer-end": (
+        RationalInterval(Fraction(-4), Fraction(-1, 3), True, False),
+        {"lower": "-4", "upper": "-1/3", "lower_open": True, "upper_open": False},
+    ),
+    "RationalInterval-empty": (
+        RationalInterval.empty(),
+        {"lower": "0", "upper": "0", "lower_open": True, "upper_open": True},
+    ),
+    "FeasibilityReport": (
+        feasible_interval(3, 2, -1, -2),
+        {
+            "feasible": True,
+            "w1_interval": {
+                "lower": "1/6", "upper": "1/2", "lower_open": False, "upper_open": False
+            },
+            "sample": {"w1": "1/3", "w2": "2/3"},
+            "chi": -6,
+        },
+    ),
+    "FeasibilityReport-chi-zero": (
+        feasible_interval(3, 2, 1, 2),
+        {
+            "feasible": True,
+            "w1_interval": {
+                "lower": "0", "upper": "1", "lower_open": True, "upper_open": True
+            },
+            "sample": {"w1": "1/2", "w2": "1/2"},
+            "chi": 0,
+        },
+    ),
+    "FeasibilityReport-infeasible": (
+        feasible_interval(2, 1, -5, 3),
+        {
+            "feasible": False,
+            "w1_interval": {
+                "lower": "0", "upper": "0", "lower_open": True, "upper_open": True
+            },
+            "sample": None,
+            "chi": -4,
+        },
+    ),
+    "SubsheafInvariant": (
+        SubsheafInvariant(0, 1, 2, -3, 4),
+        {"s": 0, "s1": 1, "s2": 2, "deg_g1": -3, "deg_g2": 4},
+    ),
+    "ComponentRecord": (
+        ComponentRecord(-1, 6, -3, 4, 13),
+        {"chi1": -1, "chi2": 6, "d1": -3, "d2": 4, "dimension": 13},
+    ),
+}
+
+
+@pytest.mark.parametrize("value, form", JSON_FORMS.values(), ids=JSON_FORMS)
+def test_to_json_is_the_fields_by_name(value, form):
+    got = value.to_json()
+    assert got == form
+    assert list(got) == list(form)
+    assert json.loads(json.dumps(got)) == form
