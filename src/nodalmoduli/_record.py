@@ -1,5 +1,7 @@
 """The base of the package's immutable record classes."""
 
+from fractions import Fraction
+
 
 class Record:
     """An immutable value whose fields are its instance attributes.
@@ -9,7 +11,7 @@ class Record:
     class, equal fields), the hash and the ``Name(field=value, ...)`` repr
     are all over ``vars(self)``; setting or deleting an attribute raises
     ``AttributeError``.  Positional class patterns bind the ``__init__``
-    parameters in order.
+    parameters in order, and ``to_json`` writes the fields by name.
     """
 
     def __init_subclass__(cls) -> None:
@@ -33,3 +35,21 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{type(self).__name__}({fields})"
+
+    def to_json(self) -> dict:
+        """The fields by name, in the order ``__init__`` stores them: a
+        nested record as its own ``to_json``, a ``Fraction`` as its "p/q"
+        text and a tuple as a list."""
+        return {name: _json(value) for name, value in self.__dict__.items()}
+
+
+def _json(value: object) -> object:
+    """A field value as JSON data.  ``str`` of a ``Fraction`` is the text
+    ``rationals.format_rational`` writes: "p/q" in lowest terms, or "p"."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    return value

@@ -146,6 +146,19 @@ def _csv_row(chi1, chi2, lower, upper, lower_open, upper_open) -> str:
 _SLOT = "\0"
 
 
+def _interval_fields(bounds, closed):
+    """The lower, upper, lower_open and upper_open fields a layout takes for
+    bounds: all None on an infeasible cell; else "0" and "1" for open ends,
+    closed(num, den) for closed ones, and the openness as JSON booleans."""
+    if bounds is None:
+        return None, None, None, None
+    lo, hi, den, lo_open, hi_open = bounds
+    return (
+        "0" if lo_open else closed(lo, den), "1" if hi_open else closed(hi, den),
+        _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
+    )
+
+
 def _laid_out(runs, layout, sep: str):
     """The cells of region_runs' runs laid out by layout and joined by sep,
     in texts of at most REGION_BATCH cells.
@@ -158,27 +171,15 @@ def _laid_out(runs, layout, sep: str):
     for chi1, first, last, bounds, step in runs:
         if first == last:
             # The common case in a narrow box, kept free of loops.
-            if bounds is None:
-                batch.append(layout(chi1, first, None, None, None, None))
-            else:
-                lo, hi, den, lo_open, hi_open = bounds
-                batch.append(layout(
-                    chi1, first, format_ratio(lo, den), format_ratio(hi, den),
-                    _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
-                ))
+            batch.append(layout(chi1, first, *_interval_fields(bounds, format_ratio)))
             room -= 1
         else:
-            if bounds is None:
-                template = layout(chi1, _SLOT, None, None, None, None)
-                ends, den = (), 0
-            else:
-                lo, hi, den, lo_open, hi_open = bounds
-                template = layout(
-                    chi1, _SLOT, "0" if lo_open else _SLOT, "1" if hi_open else _SLOT,
-                    _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
-                )
-                ends = [end for end, is_open in ((lo, lo_open), (hi, hi_open)) if not is_open]
+            template = layout(chi1, _SLOT, *_interval_fields(bounds, lambda *_: _SLOT))
             pieces = template.split(_SLOT)
+            ends, den = (), 0
+            if bounds is not None:
+                lo, hi, den, lo_open, hi_open = bounds
+                ends = [end for end, is_open in ((lo, lo_open), (hi, hi_open)) if not is_open]
             while True:
                 n = min(room, last - first + 1)
                 batch.append(_run_text(pieces, ends, range(first, first + n), den, step, sep))

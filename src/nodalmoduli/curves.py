@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .rationals import exact, format_rational
+from .rationals import exact
 
 
 class NodalCurve(Record):
@@ -58,9 +58,6 @@ class Polarization(Record):
         w1 = Fraction(exact(w1, "weights"))
         return cls(w1, 1 - w1)
 
-    def to_json(self) -> dict:
-        return {"w1": format_rational(self.w1), "w2": format_rational(self.w2)}
-
 
 class SheafClass(Record):
     """Numerical invariants of a depth-one sheaf: multirank and characteristics.
@@ -87,15 +84,6 @@ class SheafClass(Record):
         fields["chi"] = chi
         fields["chi1"] = chi1
         fields["chi2"] = chi2
-
-    def to_json(self) -> dict:
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "chi": self.chi,
-            "chi1": self.chi1,
-            "chi2": self.chi2,
-        }
 
 
 def polarized_slope(e: SheafClass, w: Polarization) -> Fraction:

@@ -31,14 +31,13 @@ to r; on it, when 0 <= chi1 <= k.  The lower end is open throughout a
 side, or not, by chi1 alone.  So between those lines every cell has the
 same verdict and openness, and a closed endpoint is L/|chi| or U/|chi|
 with L and U fixed.  :func:`region_runs` cuts each row of a box into such
-runs, at most five per row, and :func:`region_cells` expands them.
+runs, at most five per row.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import count
 
 from ._record import Record
 from .curves import Polarization
@@ -76,14 +75,6 @@ class FeasibilityReport(Record):
         fields["w1_interval"] = w1_interval
         fields["sample"] = sample
         fields["chi"] = chi
-
-    def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "w1_interval": self.w1_interval.to_json(),
-            "sample": None if self.sample is None else self.sample.to_json(),
-            "chi": self.chi,
-        }
 
 
 def chi1_window(chi: int, w1: Fraction, k: int) -> tuple[int, int]:
@@ -238,48 +229,23 @@ def region_runs(
     return _runs(r, k, chi1s, lo2, hi2)
 
 
-def _run_cells(run: Run) -> Iterator[tuple[int, int, Bounds | None]]:
-    """The (chi1, chi2, w1_bounds(...)) triple of every cell of a run."""
-    chi1, first, last, bounds, step = run
-    chi2s = range(first, last + 1)
-    if bounds is None:
-        return ((chi1, chi2, None) for chi2 in chi2s)
-    lo, hi, den, lo_open, hi_open = bounds
-    return (
-        (chi1, chi2, (lo, d if hi_open else hi, d, lo_open, hi_open))
-        for chi2, d in zip(chi2s, count(den, step))
-    )
-
-
-def region_cells(
-    r: int,
-    k: int,
-    chi1_range: tuple[int, int],
-    chi2_range: tuple[int, int],
-) -> Iterator[tuple[int, int, Bounds | None]]:
-    """Feasibility over a lattice box of (chi1, chi2) pairs, one cell at a time.
-
-    r and k are checked before anything is returned, so bad ranks fail even
-    when the box is empty.  The iterator yields (chi1, chi2, w1_bounds(...))
-    chi1-major, chi2-minor, both ascending, expanded from
-    :func:`region_runs`, and walks even a box beyond ssize_t lazily.
-    """
-    runs = region_runs(r, k, chi1_range, chi2_range)
-    return (cell for run in runs for cell in _run_cells(run))
-
-
 def region_scan(
     r: int,
     k: int,
     chi1_range: tuple[int, int],
     chi2_range: tuple[int, int],
 ) -> list[tuple[int, int, bool, RationalInterval]]:
-    """Tabulate feasibility over a lattice box of (chi1, chi2) pairs.
+    """Tabulate feasibility over a lattice box of (chi1, chi2) pairs, one
+    :func:`w1_bounds` call per cell.
 
     Rows are emitted chi1-major, chi2-minor, both ascending.  Empty ranges
-    yield an empty list; r and k are checked first, as in :func:`region_cells`.
+    yield an empty list; r and k are checked first, even for an empty box.
     """
+    (lo1, hi1), (lo2, hi2) = chi1_range, chi2_range
+    validate_ranks(r, k)
     return [
         (chi1, chi2, bounds is not None, _interval(bounds))
-        for chi1, chi2, bounds in region_cells(r, k, chi1_range, chi2_range)
+        for chi1 in range(lo1, hi1 + 1)
+        for chi2 in range(lo2, hi2 + 1)
+        for bounds in [w1_bounds(r, k, chi1, chi2)]
     ]

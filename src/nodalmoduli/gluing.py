@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .curves import SheafClass
-from .rationals import exact, parse_ratio
+from .rationals import exact, parse_ratio, short_repr
 
 Matrix = tuple[tuple[Fraction | int, ...], ...]
 
@@ -200,7 +200,9 @@ def parse_matrix(data: object) -> tuple[tuple[int, ...], ...]:
             elif isinstance(cell, int) and not isinstance(cell, bool):
                 num, den = cell, 1
             else:
-                raise ValueError(f"matrix entries must be 'p/q' strings, got {cell!r}")
+                raise ValueError(
+                    f"matrix entries must be 'p/q' strings, got {short_repr(cell)}"
+                )
             nums.append(num)
             dens.append(den)
         scale = math.lcm(*dens)

@@ -25,15 +25,6 @@ class ComponentRecord(Record):
         fields["d2"] = d2
         fields["dimension"] = dimension
 
-    def to_json(self) -> dict:
-        return {
-            "chi1": self.chi1,
-            "chi2": self.chi2,
-            "d1": self.d1,
-            "d2": self.d2,
-            "dimension": self.dimension,
-        }
-
 
 def component_dimension(c: NodalCurve, r: int) -> int:
     """Dimension r^2(g1 + g2 - 1) + 1 of every irreducible component."""

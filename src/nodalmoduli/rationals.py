@@ -22,6 +22,13 @@ from ._record import Record
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
+def short_repr(value: object) -> str:
+    """repr(value) cut after 40 characters, with the length of the whole: an
+    error message that quotes an input stays short however large it is."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def parse_ratio(text: str) -> tuple[int, int]:
     """Parse "p/q" or "p" into the integer pair (p, q), q = 1 for "p".  The
     package's one "p/q" decoder.
@@ -32,13 +39,13 @@ def parse_ratio(text: str) -> tuple[int, int]:
     """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
-        raise ValueError(f"not a rational 'p/q' or 'p' string: {text!r}")
+        raise ValueError(f"not a rational 'p/q' or 'p' string: {short_repr(text)}")
     numerator = int(m.group(1))
     if m.group(2) is None:
         return numerator, 1
     denominator = int(m.group(2))
     if denominator == 0:
-        raise ValueError(f"zero denominator in rational string: {text!r}")
+        raise ValueError(f"zero denominator in rational string: {short_repr(text)}")
     return numerator, denominator
 
 
@@ -49,7 +56,9 @@ def parse_rational(text: str) -> Fraction:
 
 def format_ratio(num: int, den: int) -> str:
     """Render num/den (den > 0) in lowest terms as "p/q", or "p" when it is
-    an integer.  The package's one "p/q" encoder."""
+    an integer.  The package's one "p/q" encoder of an integer pair; a
+    ``Fraction``'s own ``str`` writes the same text, and ``Record.to_json``
+    uses it."""
     g = math.gcd(num, den)
     if g == den:
         return str(num // g)
@@ -110,14 +119,6 @@ class RationalInterval(Record):
     @property
     def is_empty(self) -> bool:
         return (self.lower, self.upper, self.lower_open, self.upper_open) == _EMPTY
-
-    def to_json(self) -> dict:
-        return {
-            "lower": format_rational(self.lower),
-            "upper": format_rational(self.upper),
-            "lower_open": self.lower_open,
-            "upper_open": self.upper_open,
-        }
 
     def __repr__(self) -> str:
         if self.is_empty:

@@ -75,15 +75,6 @@ class SubsheafInvariant(Record):
         fields["deg_g1"] = deg_g1
         fields["deg_g2"] = deg_g2
 
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "s1": self.s1,
-            "s2": self.s2,
-            "deg_g1": self.deg_g1,
-            "deg_g2": self.deg_g2,
-        }
-
 
 def subsheaf_slope(
     f: SubsheafInvariant, h: StabilityHypotheses, w: Polarization

@@ -9,7 +9,6 @@ from nodalmoduli import curves, feasibility
 from nodalmoduli.feasibility import (
     feasible_interval,
     in_region,
-    region_cells,
     region_scan,
     violated_conditions,
     w1_bounds,
@@ -246,6 +245,20 @@ class TestRegionScan:
         assert message == "region of 10000 lattice points exceeds the cap of 100"
         assert len(region_scan(2, 1, (0, 99), (0, 99))) == 10**4
 
+    def test_rows_follow_feasible_interval(self):
+        rows = region_scan(3, 2, (-4, 4), (-3, 5))
+        assert [(a, b) for a, b, _, _ in rows] == [
+            (a, b) for a in range(-4, 5) for b in range(-3, 6)
+        ]
+        for a, b, ok, interval in rows:
+            report = feasible_interval(3, 2, a, b)
+            assert (ok, interval) == (report.feasible, report.w1_interval)
+
+    @pytest.mark.parametrize("r, k", [(1, 0), (1, 1), (2, 0), (2, 3)])
+    def test_validates_ranks_before_walking_an_empty_box(self, r, k):
+        with pytest.raises(ValueError):
+            region_scan(r, k, (3, 2), (0, 5))
+
 
 # The kernel sweep: r 2..8, every k, chi1 and chi2 in -15..15 (33,635 cases).
 KERNEL_CASES = [
@@ -310,27 +323,3 @@ class TestIntegerKernel:
         case, report, want = next(_kernel_mismatches())
         assert report.w1_interval.lower == 0 and not report.w1_interval.lower_open
         assert want.lower == 0 and want.lower_open
-
-
-class TestRegionCells:
-    def test_rows_follow_region_scan(self):
-        cells = list(region_cells(3, 2, (-4, 4), (-3, 5)))
-        rows = region_scan(3, 2, (-4, 4), (-3, 5))
-        assert [(a, b, bounds is not None) for a, b, bounds in cells] == [
-            (a, b, ok) for a, b, ok, _ in rows
-        ]
-        for (a, b, _), (_, _, _, interval) in zip(cells, rows):
-            assert interval == feasible_interval(3, 2, a, b).w1_interval
-
-    @pytest.mark.parametrize("r, k", [(1, 0), (1, 1), (2, 0), (2, 3)])
-    def test_validates_ranks_before_walking_an_empty_box(self, r, k):
-        with pytest.raises(ValueError):
-            region_scan(r, k, (3, 2), (0, 5))
-        with pytest.raises(ValueError):
-            region_cells(r, k, (3, 2), (0, 5))  # raised by the call, not by next()
-
-    def test_huge_box_is_walked_lazily(self):
-        # A box beyond ssize_t is walked lazily from its first cell.
-        huge = (-10**20, 10**20)
-        cells = region_cells(2, 1, huge, (0, 1))
-        assert next(cells) == (-10**20, 0, w1_bounds(2, 1, -10**20, 0))

@@ -371,6 +371,14 @@ class TestCanonicalSubsheaves:
         assert k1.chi == 0 and k2.chi == 0
 
 
+def _nested(depth):
+    """A cell of "0" inside depth arrays."""
+    cell = "0"
+    for _ in range(depth):
+        cell = [cell]
+    return cell
+
+
 class TestParseMatrix:
     def test_strings_and_ints(self):
         # Each row is scaled by the lcm of its denominators: 2, then 4.
@@ -413,6 +421,22 @@ class TestParseMatrix:
         with pytest.raises(ValueError) as info:
             parse_matrix([["1", "0"], ["0", cell]])
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cell, head, length",
+        [("x" * 100_000, "not a rational 'p/q' or 'p' string: 'xxx", 100_002),
+         (_nested(900), "matrix entries must be 'p/q' strings, got [[[", 1_803)],
+        ids=["string-of-100000", "nested-900-deep"],
+    )
+    def test_large_cell_is_echoed_cut(self, cell, head, length):
+        # The message quotes the first 40 characters of the cell's repr and
+        # the length of the whole, however large the cell is.
+        with pytest.raises(ValueError) as info:
+            parse_matrix([["1", "0"], ["0", cell]])
+        message = str(info.value)
+        assert message.startswith(head)
+        assert message.endswith(f"... ({length} characters)")
+        assert len(message) < 120
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,10 @@ CASES = {
     "glue_float_cell": (
         ["glue", "--matrix", "float_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
+    # A 1,000-character cell: the error quotes its first 40 characters.
+    "glue_long_cell": (
+        ["glue", "--matrix", "long_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
     "glue_ragged": (
         ["glue", "--matrix", "ragged.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),

@@ -10,6 +10,7 @@ from nodalmoduli.rationals import (
     format_rational,
     parse_ratio,
     parse_rational,
+    short_repr,
 )
 from oracles import OPEN_UNIT, closed, contains, intersect, sample
 
@@ -125,6 +126,38 @@ class TestRationalArithmetic:
     def test_string_round_trip(self, n, d):
         q = Fraction(n, d)
         assert parse_rational(format_rational(q)) == q
+
+    @given(st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+    def test_str_of_a_fraction_is_the_format(self, n, d):
+        # Record.to_json writes a Fraction field with str.
+        q = Fraction(n, d)
+        assert str(q) == format_rational(q) == format_ratio(n, d)
+
+
+class TestShortRepr:
+    @pytest.mark.parametrize("value", ["0.5", True, "1/0", "x" * 38, [[1, 2], [3]]])
+    def test_a_short_value_is_quoted_whole(self, value):
+        assert short_repr(value) == repr(value)
+
+    def test_a_long_value_is_cut_with_its_length(self):
+        text = "x" * 39
+        assert short_repr(text) == "'" + text[:39] + "... (41 characters)"
+        assert short_repr("y" * 10**6) == "'" + "y" * 39 + "... (1000002 characters)"
+
+    @pytest.mark.parametrize(
+        "text, head",
+        [("0." + "3" * 99_998, "not a rational 'p/q' or 'p' string: '0.33"),
+         # Within int()'s default limit of 4,300 digits.
+         ("1/" + "0" * 998, "zero denominator in rational string: '1/00")],
+        ids=["not-a-ratio", "zero-denominator"],
+    )
+    def test_parse_ratio_quotes_a_long_string_cut(self, text, head):
+        with pytest.raises(ValueError) as info:
+            parse_ratio(text)
+        message = str(info.value)
+        assert message.startswith(head)
+        assert message.endswith(f"... ({len(text) + 2} characters)")
+        assert len(message) < 100
 
 
 def _random_interval(rng: random.Random) -> RationalInterval:

@@ -26,6 +26,8 @@ from nodalmoduli import (
     SubsheafInvariant,
     feasible_interval,
 )
+from nodalmoduli import _record
+from nodalmoduli._record import Record, _json
 from nodalmoduli.rationals import RationalInterval
 
 # (build a value, build a value of the same class with one field changed,
@@ -280,3 +282,43 @@ def test_to_json_is_the_fields_by_name(value, form):
     assert got == form
     assert list(got) == list(form)
     assert json.loads(json.dumps(got)) == form
+
+
+@CASES
+def test_every_record_serialises(make, make_other, text):
+    # GluingDatum's sigma, a tuple of rows holding a Fraction, included.
+    value = make()
+    assert json.loads(json.dumps(value.to_json())) == value.to_json()
+
+
+def test_sigma_serialises_as_rows_of_rationals():
+    datum = GluingDatum(2, None, 2, 3, sigma=[[1, 0], [Fraction(-1, 2), 0]])
+    assert datum.to_json() == {
+        "r": 2, "k": 1, "chi1": 2, "chi2": 3, "sigma": [[1, 0], ["-1/2", 0]]
+    }
+
+
+def _float_fractions(value):
+    return float(value) if isinstance(value, Fraction) else _json(value)
+
+
+def _flat_records(value):
+    return value if isinstance(value, Record) else _json(value)
+
+
+REPORTS = {"FeasibilityReport", "FeasibilityReport-chi-zero", "FeasibilityReport-infeasible"}
+INTERVALS = {"RationalInterval", "RationalInterval-negative-integer-end", "RationalInterval-empty"}
+
+
+@pytest.mark.parametrize(
+    "broken, caught",
+    [
+        (_float_fractions, {"Polarization"} | INTERVALS | REPORTS),
+        (_flat_records, REPORTS),
+    ],
+    ids=["float-fractions", "nested-records-kept"],
+)
+def test_negative_control_broken_encoder_is_caught(monkeypatch, broken, caught):
+    monkeypatch.setattr(_record, "_json", broken)
+    wrong = {name for name, (value, form) in JSON_FORMS.items() if value.to_json() != form}
+    assert wrong == caught
