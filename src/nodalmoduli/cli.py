@@ -146,15 +146,15 @@ def _csv_row(chi1, chi2, lower, upper, lower_open, upper_open) -> str:
 _SLOT = "\0"
 
 
-def _interval_fields(bounds, closed):
-    """The lower, upper, lower_open and upper_open fields a layout takes for
-    bounds: all None on an infeasible cell; else "0" and "1" for open ends,
-    closed(num, den) for closed ones, and the openness as JSON booleans."""
+def _cell(layout, chi1, chi2, bounds, closed) -> str:
+    """layout's text of the cell (chi1, chi2) with w1_bounds bounds, None on
+    an infeasible cell: an open end is written "0" or "1", a closed one
+    closed(num, den), and the openness as JSON booleans."""
     if bounds is None:
-        return None, None, None, None
+        return layout(chi1, chi2, None, None, None, None)
     lo, hi, den, lo_open, hi_open = bounds
-    return (
-        "0" if lo_open else closed(lo, den), "1" if hi_open else closed(hi, den),
+    return layout(
+        chi1, chi2, "0" if lo_open else closed(lo, den), "1" if hi_open else closed(hi, den),
         _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
     )
 
@@ -171,10 +171,10 @@ def _laid_out(runs, layout, sep: str):
     for chi1, first, last, bounds, step in runs:
         if first == last:
             # The common case in a narrow box, kept free of loops.
-            batch.append(layout(chi1, first, *_interval_fields(bounds, format_ratio)))
+            batch.append(_cell(layout, chi1, first, bounds, format_ratio))
             room -= 1
         else:
-            template = layout(chi1, _SLOT, *_interval_fields(bounds, lambda *_: _SLOT))
+            template = _cell(layout, chi1, _SLOT, bounds, lambda num, den: _SLOT)
             pieces = template.split(_SLOT)
             ends, den = (), 0
             if bounds is not None:

@@ -2,8 +2,9 @@
 
 The records are small immutable values: equal exactly when they are of the
 same class with equal fields, hashable consistently with that equality,
-refusing to be changed after construction, and shown as
-``Name(field=value, ...)``.  ``perfbench``'s classify oracle reads
+refusing to be changed after construction, shown as
+``Name(field=value, ...)`` and written as JSON data by ``to_json``, which
+the CLI prints.  ``perfbench``'s classify oracle reads
 ``vars()`` of ``SubsheafInvariant`` and ``ComponentRecord`` results, so
 their instance dictionaries must hold exactly their five fields.
 """
