@@ -37,15 +37,14 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
     def to_json(self) -> dict:
-        """The fields by name, in the order ``__init__`` stores them: a
-        nested record as its own ``to_json``, a ``Fraction`` as its "p/q"
-        text and a tuple as a list."""
+        """The fields by name, in ``__init__``'s order: a nested record as
+        its own ``to_json``, a ``Fraction`` as "p/q" and a tuple as a list."""
         return {name: _json(value) for name, value in self.__dict__.items()}
 
 
 def _json(value: object) -> object:
-    """A field value as JSON data.  ``str`` of a ``Fraction`` is the text
-    ``rationals.format_rational`` writes: "p/q" in lowest terms, or "p"."""
+    """A field value as JSON data.  ``str`` of a ``Fraction`` is "p/q" in
+    lowest terms, or "p": the text ``rationals.format_rational`` writes."""
     if isinstance(value, Record):
         return value.to_json()
     if isinstance(value, Fraction):

@@ -146,10 +146,13 @@ def _csv_row(chi1, chi2, lower, upper, lower_open, upper_open) -> str:
 _SLOT = "\0"
 
 
+def _slot(num: int, den: int) -> str:
+    return _SLOT
+
+
 def _cell(layout, chi1, chi2, bounds, closed) -> str:
-    """layout's text of the cell (chi1, chi2) with w1_bounds bounds, None on
-    an infeasible cell: an open end is written "0" or "1", a closed one
-    closed(num, den), and the openness as JSON booleans."""
+    """layout's text of the cell (chi1, chi2) with w1_bounds bounds (None when
+    infeasible): open ends as "0" and "1", closed ones as closed(num, den)."""
     if bounds is None:
         return layout(chi1, chi2, None, None, None, None)
     lo, hi, den, lo_open, hi_open = bounds
@@ -174,12 +177,11 @@ def _laid_out(runs, layout, sep: str):
             batch.append(_cell(layout, chi1, first, bounds, format_ratio))
             room -= 1
         else:
-            template = _cell(layout, chi1, _SLOT, bounds, lambda num, den: _SLOT)
+            template = _cell(layout, chi1, _SLOT, bounds, _slot)
             pieces = template.split(_SLOT)
-            ends, den = (), 0
-            if bounds is not None:
-                lo, hi, den, lo_open, hi_open = bounds
-                ends = [end for end, is_open in ((lo, lo_open), (hi, hi_open)) if not is_open]
+            # An infeasible run has no closed end.
+            lo, hi, den, lo_open, hi_open = bounds or (0, 0, 0, True, True)
+            ends = ([] if lo_open else [lo]) + ([] if hi_open else [hi])
             while True:
                 n = min(room, last - first + 1)
                 batch.append(_run_text(pieces, ends, range(first, first + n), den, step, sep))

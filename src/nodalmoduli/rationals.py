@@ -57,8 +57,8 @@ def parse_rational(text: str) -> Fraction:
 def format_ratio(num: int, den: int) -> str:
     """Render num/den (den > 0) in lowest terms as "p/q", or "p" when it is
     an integer.  The package's one "p/q" encoder of an integer pair; a
-    ``Fraction``'s own ``str`` writes the same text, and ``Record.to_json``
-    uses it."""
+    ``Fraction``'s own ``str`` writes the same text, and
+    :func:`format_rational` and ``Record.to_json`` use that."""
     g = math.gcd(num, den)
     if g == den:
         return str(num // g)
@@ -67,8 +67,7 @@ def format_ratio(num: int, den: int) -> str:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    q = Fraction(value)
-    return format_ratio(q.numerator, q.denominator)
+    return str(Fraction(value))
 
 
 def exact(x: object, what: str) -> Fraction | int:
