@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from nodalmoduli import curves, feasibility
 from nodalmoduli.feasibility import (
     feasible_interval,
     in_region,
+    region_runs,
     region_scan,
     violated_conditions,
     w1_bounds,
@@ -23,6 +25,7 @@ from oracles import (
     grid_feasible,
     region_characterization,
 )
+from test_region_runs import expand
 
 HALF = Polarization(Fraction(1, 2), Fraction(1, 2))
 
@@ -254,11 +257,6 @@ class TestRegionScan:
             report = feasible_interval(3, 2, a, b)
             assert (ok, interval) == (report.feasible, report.w1_interval)
 
-    @pytest.mark.parametrize("r, k", [(1, 0), (1, 1), (2, 0), (2, 3)])
-    def test_validates_ranks_before_walking_an_empty_box(self, r, k):
-        with pytest.raises(ValueError):
-            region_scan(r, k, (3, 2), (0, 5))
-
 
 # The kernel sweep: r 2..8, every k, chi1 and chi2 in -15..15 (33,635 cases).
 KERNEL_CASES = [
@@ -323,3 +321,31 @@ class TestIntegerKernel:
         case, report, want = next(_kernel_mismatches())
         assert report.w1_interval.lower == 0 and not report.w1_interval.lower_open
         assert want.lower == 0 and want.lower_open
+
+
+class TestRegionCells:
+    # The cells of a box as region_runs expands to them: the same cells,
+    # in the same order, as region_scan lists one w1_bounds call at a time.
+    def test_rows_follow_region_scan(self):
+        runs = region_runs(3, 2, (-4, 4), (-3, 5))
+        cells = list(itertools.chain.from_iterable(map(expand, runs)))
+        rows = region_scan(3, 2, (-4, 4), (-3, 5))
+        assert [(a, b, bounds is not None) for a, b, bounds in cells] == [
+            (a, b, ok) for a, b, ok, _ in rows
+        ]
+        for (a, b, bounds), (_, _, _, interval) in zip(cells, rows):
+            assert bounds == w1_bounds(3, 2, a, b)
+            assert interval == feasible_interval(3, 2, a, b).w1_interval
+
+    @pytest.mark.parametrize("r, k", [(1, 0), (1, 1), (2, 0), (2, 3)])
+    def test_validates_ranks_before_walking_an_empty_box(self, r, k):
+        with pytest.raises(ValueError):
+            region_scan(r, k, (3, 2), (0, 5))
+        with pytest.raises(ValueError):
+            region_runs(r, k, (3, 2), (0, 5))  # raised by the call, not by next()
+
+    def test_huge_box_is_walked_lazily(self):
+        # A box beyond ssize_t is walked lazily from its first cell.
+        huge = (-10**20, 10**20)
+        cells = expand(next(region_runs(2, 1, huge, (0, 1))))
+        assert next(cells) == (-10**20, 0, w1_bounds(2, 1, -10**20, 0))

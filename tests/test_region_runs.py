@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from nodalmoduli import feasibility
-from nodalmoduli.feasibility import region_runs, w1_bounds
+from nodalmoduli.feasibility import region_runs, region_scan, w1_bounds
 
 
 def claimed(run, chi2):
@@ -81,6 +81,16 @@ class TestRunsMatchTheKernel:
     def test_special_boxes(self, name):
         assert next(mismatches(*BOXES[name]), None) is None
 
+    def test_region_cells_is_the_expansion(self):
+        # Expanded, the runs list the cells region_scan tabulates.
+        for r, k in GRID:
+            runs = region_runs(r, k, (-9, 9), (-9, 9))
+            expanded = list(itertools.chain.from_iterable(map(expand, runs)))
+            rows = region_scan(r, k, (-9, 9), (-9, 9))
+            assert [(a, b, bounds is not None) for a, b, bounds in expanded] == [
+                (a, b, ok) for a, b, ok, _ in rows
+            ]
+
 
 class TestRunShape:
     def test_at_most_five_runs_per_row_and_neighbours_differ(self):
@@ -134,6 +144,10 @@ class TestHugeRanges:
             for chi2 in (first, first + 1, last - 1, last):
                 if first <= chi2 <= last:
                     assert claimed(run, chi2) == w1_bounds(r, k, chi1, chi2), run
+
+    def test_huge_chi2_range_through_region_cells(self):
+        cells = expand(next(region_runs(3, 2, (0, 0), self.HUGE)))
+        assert next(cells) == (0, -10**20, w1_bounds(3, 2, 0, -10**20))
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
