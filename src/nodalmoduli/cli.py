@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .curves import NodalCurve, Polarization
 from .feasibility import feasible_interval, region_runs
@@ -31,7 +30,7 @@ from .moduli import (
     is_generic_for,
     projective_bundle_dimension,
 )
-from .rationals import format_ratio, format_rational, parse_rational
+from .rationals import parse_rational
 from .stability import StabilityHypotheses, check_sufficiency, mk_semistable_test
 
 MAX_CELLS_ENV = "NODAL_MODULI_MAX_CELLS"
@@ -71,8 +70,6 @@ def _echo(value) -> str:
         return _JSON_BOOL[value]
     if isinstance(value, tuple):
         return f"{value[0]}:{value[1]}"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     return str(value)
 
 
@@ -150,6 +147,13 @@ def _slot(num: int, den: int) -> str:
     return _SLOT
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms as "p/q"; never an integer, as a closed
+    endpoint lies strictly inside (0, 1)."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def _cell(layout, chi1, chi2, bounds, closed) -> str:
     """layout's text of the cell (chi1, chi2) with w1_bounds bounds (None when
     infeasible): open ends as "0" and "1", closed ones as closed(num, den)."""
@@ -174,7 +178,7 @@ def _laid_out(runs, layout, sep: str):
     for chi1, first, last, bounds, step in runs:
         if first == last:
             # The common case in a narrow box, kept free of loops.
-            batch.append(_cell(layout, chi1, first, bounds, format_ratio))
+            batch.append(_cell(layout, chi1, first, bounds, _ratio))
             room -= 1
         else:
             template = _cell(layout, chi1, _SLOT, bounds, _slot)
@@ -228,16 +232,6 @@ def _run_text(pieces, ends, chi2s, den, step, sep: str) -> str:
             map(math.gcd, itertools.repeat(hi), dens),
         )
     )
-
-
-def _json_runs(runs):
-    """The "cells" texts of region runs, REGION_BATCH cells per text."""
-    return _laid_out(runs, _json_cell, ",\n")
-
-
-def _csv_runs(runs):
-    """The CSV rows of region runs, REGION_BATCH rows per text."""
-    return _laid_out(runs, _csv_row, "")
 
 
 def _json_components(rows):
@@ -296,11 +290,12 @@ def _cmd_region(args) -> None:
     runs = region_runs(args.r, args.k, args.chi1, args.chi2)
     if args.format == "csv":
         sys.stdout.write("chi1,chi2,feasible,w1_lo,w1_hi,w1_lo_open,w1_hi_open\n")
-        _write_batches(_csv_runs(runs), "")
+        _write_batches(_laid_out(runs, _csv_row, ""), "")
     elif count == 0:
         _emit(args, {"cells": [], "count": 0})
     else:
-        _emit_streamed(args, {"cells": [], "count": count}, "cells", _json_runs(runs))
+        cells = _laid_out(runs, _json_cell, ",\n")
+        _emit_streamed(args, {"cells": [], "count": count}, "cells", cells)
 
 
 def _cmd_components(args) -> None:
@@ -330,10 +325,19 @@ def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
     An array of n rows is refused when its n^3 elimination updates exceed
     the cap, before any cell is decoded.  The decoded JSON dies on return,
     so it is not held while the rank is eliminated.  Arrays nested deeper
-    than the decoder's recursion limit are a ValueError, not a crash."""
+    than the decoder's recursion limit are a ValueError, not a crash, and so
+    is an integer cell of more digits than the interpreter converts."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                raise
+            except ValueError:
+                # An integer cell past the interpreter's digit limit: decode
+                # the integers as text, so parse_matrix refuses it by name.
+                fh.seek(0)
+                raw = json.load(fh, parse_int=str)
         except RecursionError:
             raise ValueError(f"{path}: arrays nested too deeply to decode") from None
     if isinstance(raw, list):
@@ -370,7 +374,7 @@ def _cmd_check_sufficiency(args) -> None:
                 "no compatible polarization exists for this datum; supply --w1"
             )
         w = report.sample
-        warnings.append(f"polarization defaulted to w1 = {format_rational(w.w1)}")
+        warnings.append(f"polarization defaulted to w1 = {w.w1}")
     holds, witness = check_sufficiency(h, w, strict=args.strict)
     args.w1 = w.w1  # echo the weight actually used
     outputs = {

@@ -13,7 +13,6 @@ systems, so the empty interval is a normal value, never an error.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -35,15 +34,20 @@ def parse_ratio(text: str) -> tuple[int, int]:
 
     Surrounding whitespace is ignored.  The denominator, when present, must
     be a positive integer literal; the pair is returned as written, not
-    reduced.  Decimal notation is rejected rather than rounded.
+    reduced.  Decimal notation is rejected rather than rounded, and so is a
+    number past the interpreter's limit on the digits ``int`` converts.
     """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational 'p/q' or 'p' string: {short_repr(text)}")
-    numerator = int(m.group(1))
-    if m.group(2) is None:
-        return numerator, 1
-    denominator = int(m.group(2))
+    try:
+        numerator = int(m.group(1))
+        if m.group(2) is None:
+            return numerator, 1
+        denominator = int(m.group(2))
+    except ValueError:
+        # More digits than the interpreter's limit on int() of a string.
+        raise ValueError(f"too many digits in rational string: {short_repr(text)}") from None
     if denominator == 0:
         raise ValueError(f"zero denominator in rational string: {short_repr(text)}")
     return numerator, denominator
@@ -54,19 +58,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-def format_ratio(num: int, den: int) -> str:
-    """Render num/den (den > 0) in lowest terms as "p/q", or "p" when it is
-    an integer.  The package's one "p/q" encoder of an integer pair; a
-    ``Fraction``'s own ``str`` writes the same text, and
-    :func:`format_rational` and ``Record.to_json`` use that."""
-    g = math.gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return f"{num // g}/{den // g}"
-
-
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational as "p/q", or just "p" when the denominator is 1."""
+    """Render a rational as "p/q", or just "p" when the denominator is 1: the
+    public name of a ``Fraction``'s own ``str``, the package's one encoder."""
     return str(Fraction(value))
 
 
@@ -124,5 +118,4 @@ class RationalInterval(Record):
             return "RationalInterval.empty()"
         left = "(" if self.lower_open else "["
         right = ")" if self.upper_open else "]"
-        lo, up = format_rational(self.lower), format_rational(self.upper)
-        return f"RationalInterval {left}{lo}, {up}{right}"
+        return f"RationalInterval {left}{self.lower}, {self.upper}{right}"

@@ -134,6 +134,35 @@ class TestGlue:
             "type": "ValueError",
         }
 
+    def test_recursion_in_the_digit_limit_retry_is_domain_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The second decode, which reads integers as text, can reach nesting
+        # that the first one stopped short of at an over-long integer.
+        path = tmp_path / "deep.json"
+        path.write_text("[[1]]")
+        errors = iter([ValueError("Exceeds the limit (4300 digits)"),
+                       RecursionError("maximum recursion depth exceeded")])
+
+        def load(fh, **kwargs):
+            raise next(errors)
+
+        monkeypatch.setattr(cli.json, "load", load)
+        code, out, err = run(
+            capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
+        )
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"]["message"].endswith("nested too deeply to decode")
+
+    def test_non_utf8_file_keeps_its_decode_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'[["\xff"]]')
+        code, out, _ = run(
+            capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "UnicodeDecodeError"
+
     def test_zero_matrix_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps([["0", "0"], ["0", "0"]]))
@@ -426,7 +455,7 @@ class TestRegionEncoders:
         }
         want = textwrap.indent(json.dumps(cell, sort_keys=True, indent=2), " " * 6)
         runs = region_runs(r, k, (chi1, chi1), (chi2, chi2))
-        assert list(cli._json_runs(runs)) == [want]
+        assert list(cli._laid_out(runs, cli._json_cell, ",\n")) == [want]
 
     @pytest.mark.parametrize("kind", ENCODER_CELLS)
     def test_csv_row_follows_the_report(self, kind):
@@ -445,22 +474,21 @@ class TestRegionEncoders:
             ]
         want = ",".join([str(chi1), str(chi2), json.dumps(doc["feasible"]), *fields])
         runs = region_runs(r, k, (chi1, chi1), (chi2, chi2))
-        assert list(cli._csv_runs(runs)) == [want + "\n"]
+        assert list(cli._laid_out(runs, cli._csv_row, "")) == [want + "\n"]
 
-    @pytest.mark.parametrize("fmt, name", [("json", "_json_runs"), ("csv", "_csv_runs")])
-    def test_negative_control_swapped_openness_is_caught(
-        self, capsys, monkeypatch, fmt, name
-    ):
-        real = getattr(cli, name)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_negative_control_swapped_openness_is_caught(self, capsys, monkeypatch, fmt):
+        real = cli._laid_out
 
-        def swapped(runs):
-            # The real encoder's text with lower_open and upper_open exchanged.
+        def swapped(runs, layout, sep):
+            # The real layout's text with lower_open and upper_open exchanged.
             yield from real(
-                (chi1, first, last, None if b is None else (*b[:3], b[4], b[3]), step)
-                for chi1, first, last, b, step in runs
+                ((chi1, first, last, None if b is None else (*b[:3], b[4], b[3]), step)
+                 for chi1, first, last, b, step in runs),
+                layout, sep,
             )
 
-        monkeypatch.setattr(cli, name, swapped)
+        monkeypatch.setattr(cli, "_laid_out", swapped)
         for r, k, (lo1, hi1), (lo2, hi2) in EDGE_BOXES + list(_seeded_boxes(200)):
             _, out, _ = run(
                 capsys, "region", "--r", str(r), "--k", str(k),

@@ -70,6 +70,9 @@ CASES = {
     "region_malformed_range": (
         ["region", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "0:1"], 2, {}
     ),
+    "region_non_integer_range": (
+        ["region", "--r", "2", "--k", "1", "--chi1", "a:b", "--chi2", "0:1"], 2, {}
+    ),
     "components_json": (
         ["components", "--g1", "2", "--g2", "3", "--r", "3", "--chi", "5",
          "--w1", "2/7"],
@@ -115,6 +118,13 @@ CASES = {
     "components_decimal_weight": (
         ["components", "--g1", "2", "--g2", "2", "--r", "2", "--chi", "1",
          "--w1", "0.5"],
+        2,
+        {},
+    ),
+    # A weight whose denominator has one digit more than int() converts.
+    "components_huge_weight": (
+        ["components", "--g1", "2", "--g2", "2", "--r", "2", "--chi", "1",
+         "--w1", "1/" + "1" * 4301],
         2,
         {},
     ),
@@ -167,6 +177,14 @@ CASES = {
     # A 1,000-character cell: the error quotes its first 40 characters.
     "glue_long_cell": (
         ["glue", "--matrix", "long_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    # Past the interpreter's 4,300-digit limit on int(): a "p/q" cell, and a
+    # bare JSON integer cell, which the decoder itself cannot convert.
+    "glue_huge_digits": (
+        ["glue", "--matrix", "huge_digits.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    "glue_huge_int_cell": (
+        ["glue", "--matrix", "huge_int_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
     "glue_ragged": (
         ["glue", "--matrix", "ragged.json", "--chi1", "0", "--chi2", "0"], 1, {}
@@ -251,6 +269,7 @@ CASES = {
     "dims": (["dims", "--g1", "2", "--g2", "3", "--r", "4"], 0, {}),
     "dims_genus_one": (["dims", "--g1", "1", "--g2", "1", "--r", "2"], 0, {}),
     "dims_genus_zero": (["dims", "--g1", "2", "--g2", "0", "--r", "2"], 1, {}),
+    "dims_rank_zero": (["dims", "--g1", "2", "--g2", "3", "--r", "0"], 1, {}),
     "mk_test": (
         ["mk-test", "--sub-d", "1", "--sub-rk", "1", "--amb-d", "3", "--amb-rk", "2",
          "--m", "0", "--k", "1"],
