@@ -326,18 +326,11 @@ def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
     the cap, before any cell is decoded.  The decoded JSON dies on return,
     so it is not held while the rank is eliminated.  Arrays nested deeper
     than the decoder's recursion limit are a ValueError, not a crash, and so
-    is an integer cell of more digits than the interpreter converts."""
+    is an integer cell of more digits than the interpreter converts: integers
+    are decoded as text, so parse_ratio refuses such a cell by name."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            try:
-                raw = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                raise
-            except ValueError:
-                # An integer cell past the interpreter's digit limit: decode
-                # the integers as text, so parse_matrix refuses it by name.
-                fh.seek(0)
-                raw = json.load(fh, parse_int=str)
+            raw = json.load(fh, parse_int=str)
         except RecursionError:
             raise ValueError(f"{path}: arrays nested too deeply to decode") from None
     if isinstance(raw, list):

@@ -47,7 +47,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
         denominator = int(m.group(2))
     except ValueError:
         # More digits than the interpreter's limit on int() of a string.
-        raise ValueError(f"too many digits in rational string: {short_repr(text)}") from None
+        raise ValueError(f"too many digits in rational: {short_repr(text)}") from None
     if denominator == 0:
         raise ValueError(f"zero denominator in rational string: {short_repr(text)}")
     return numerator, denominator

@@ -10,12 +10,24 @@ interval algebra that reference needs (``closed``, ``intersect``,
 finite ``RationalInterval`` values.  The compatibility window
 chi*w1 <= chi1 <= chi*w1 + k, which the library computes in integers in
 ``feasibility.chi1_window``, is restated here in ``Fraction`` arithmetic.
+The skip mark ``needs_default_digit_limit`` is shared here as well.
 """
 
 import math
+import sys
 from fractions import Fraction
 
+import pytest
+
 from nodalmoduli.rationals import RationalInterval
+
+# The digit-limit cases pin what the interpreter's default limit of 4,300
+# digits on int() of a string refuses.  Python 3.10.0-3.10.6 have no limit,
+# and PYTHONINTMAXSTRDIGITS or -X int_max_str_digits can change it.
+needs_default_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the interpreter's default limit of 4,300 digits on int()",
+)
 
 
 def closed(lower, upper) -> RationalInterval:

@@ -121,7 +121,7 @@ class TestGlue:
         path = tmp_path / "deep.json"
         path.write_text("[" * depth + "]" * depth)
 
-        def load(fh):
+        def load(fh, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setattr(cli.json, "load", load)
@@ -133,26 +133,6 @@ class TestGlue:
             "message": f"{path}: arrays nested too deeply to decode",
             "type": "ValueError",
         }
-
-    def test_recursion_in_the_digit_limit_retry_is_domain_error(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # The second decode, which reads integers as text, can reach nesting
-        # that the first one stopped short of at an over-long integer.
-        path = tmp_path / "deep.json"
-        path.write_text("[[1]]")
-        errors = iter([ValueError("Exceeds the limit (4300 digits)"),
-                       RecursionError("maximum recursion depth exceeded")])
-
-        def load(fh, **kwargs):
-            raise next(errors)
-
-        monkeypatch.setattr(cli.json, "load", load)
-        code, out, err = run(
-            capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
-        )
-        assert (code, err) == (1, "")
-        assert json.loads(out)["error"]["message"].endswith("nested too deeply to decode")
 
     def test_non_utf8_file_keeps_its_decode_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"

@@ -11,7 +11,14 @@ from nodalmoduli.rationals import (
     parse_rational,
     short_repr,
 )
-from oracles import OPEN_UNIT, closed, contains, intersect, sample
+from oracles import (
+    OPEN_UNIT,
+    closed,
+    contains,
+    intersect,
+    needs_default_digit_limit,
+    sample,
+)
 
 # Well-formed "p/q" or "p" strings, unreduced, signed and padded, and
 # strings from the characters such strings are made of.
@@ -60,16 +67,18 @@ class TestRationalArithmetic:
         assert parse_ratio("0/5") == (0, 5)
 
     # One digit past CPython's default limit of 4,300 on int() of a string.
+    @needs_default_digit_limit
     @pytest.mark.parametrize(
         "text", ["9" * 4301 + "/2", "1/" + "7" * 4301], ids=["numerator", "denominator"]
     )
     def test_parse_ratio_refuses_more_digits_than_int_converts(self, text):
         with pytest.raises(ValueError) as info:
             parse_ratio(text)
-        assert str(info.value) == f"too many digits in rational string: {short_repr(text)}"
+        assert str(info.value) == f"too many digits in rational: {short_repr(text)}"
         with pytest.raises(ValueError):
             parse_rational(text)
 
+    @needs_default_digit_limit
     def test_parse_ratio_takes_digits_up_to_the_limit(self):
         num, den = parse_ratio("9" * 4300 + "/" + "7" * 4300)
         assert (num, den) == (10**4300 - 1, 7 * (10**4300 - 1) // 9)
