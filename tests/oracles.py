@@ -10,7 +10,8 @@ interval algebra that reference needs (``closed``, ``intersect``,
 finite ``RationalInterval`` values.  The compatibility window
 chi*w1 <= chi1 <= chi*w1 + k, which the library computes in integers in
 ``feasibility.chi1_window``, is restated here in ``Fraction`` arithmetic.
-The skip mark ``needs_default_digit_limit`` is shared here as well.
+The skip mark ``needs_default_digit_limit`` and its condition
+``DEFAULT_DIGIT_LIMIT`` are shared here as well.
 """
 
 import math
@@ -24,8 +25,9 @@ from nodalmoduli.rationals import RationalInterval
 # The digit-limit cases pin what the interpreter's default limit of 4,300
 # digits on int() of a string refuses.  Python 3.10.0-3.10.6 have no limit,
 # and PYTHONINTMAXSTRDIGITS or -X int_max_str_digits can change it.
+DEFAULT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() == 4300
 needs_default_digit_limit = pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    not DEFAULT_DIGIT_LIMIT,
     reason="needs the interpreter's default limit of 4,300 digits on int()",
 )
 

@@ -160,7 +160,8 @@ class TestShortRepr:
         "text, head",
         [("0." + "3" * 99_998, "not a rational 'p/q' or 'p' string: '0.33"),
          # Within int()'s default limit of 4,300 digits.
-         ("1/" + "0" * 998, "zero denominator in rational string: '1/00")],
+         pytest.param("1/" + "0" * 998, "zero denominator in rational string: '1/00",
+                      marks=needs_default_digit_limit)],
         ids=["not-a-ratio", "zero-denominator"],
     )
     def test_parse_ratio_quotes_a_long_string_cut(self, text, head):
