@@ -271,6 +271,7 @@ CASES = {
     "dims_genus_one": (["dims", "--g1", "1", "--g2", "1", "--r", "2"], 0, {}),
     "dims_genus_zero": (["dims", "--g1", "2", "--g2", "0", "--r", "2"], 1, {}),
     "dims_rank_zero": (["dims", "--g1", "2", "--g2", "3", "--r", "0"], 1, {}),
+    "dims_non_integer_rank": (["dims", "--g1", "2", "--g2", "3", "--r", "x"], 2, {}),
     "mk_test": (
         ["mk-test", "--sub-d", "1", "--sub-rk", "1", "--amb-d", "3", "--amb-rk", "2",
          "--m", "0", "--k", "1"],
