@@ -398,6 +398,12 @@ def _cmd_mk_test(args) -> None:
     _emit(args, {"holds": holds})
 
 
+def _int_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add each of names to parser as a required integer option, in order."""
+    for name in names:
+        parser.add_argument(name, type=int, required=True)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.  Reusing it is safe:
@@ -412,15 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("feasible", help="compatible-polarization interval for a gluing")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--chi1", type=int, required=True)
-    p.add_argument("--chi2", type=int, required=True)
+    _int_options(p, "--r", "--k", "--chi1", "--chi2")
     p.set_defaults(handler=_cmd_feasible)
 
     p = sub.add_parser("region", help="feasibility over a lattice box of (chi1, chi2)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _int_options(p, "--r", "--k")
     p.add_argument("--chi1", type=int_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--chi2", type=int_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -429,46 +431,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("components", help="moduli components for (g1, g2, r, chi, w)")
-    p.add_argument("--g1", type=int, required=True)
-    p.add_argument("--g2", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
+    _int_options(p, "--g1", "--g2", "--r", "--chi")
     p.add_argument("--w1", type=rational_arg, required=True, metavar="P/Q")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(handler=_cmd_components)
 
     p = sub.add_parser("glue", help="invariants of the sheaf glued by a matrix")
     p.add_argument("--matrix", required=True, help="JSON file: rows of 'p/q' entries")
-    p.add_argument("--chi1", type=int, required=True)
-    p.add_argument("--chi2", type=int, required=True)
+    _int_options(p, "--chi1", "--chi2")
     p.set_defaults(handler=_cmd_glue)
 
     p = sub.add_parser(
         "check-sufficiency", help="extremal subsheaf-slope sweep for a gluing"
     )
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--chi1", type=int, required=True)
-    p.add_argument("--chi2", type=int, required=True)
-    p.add_argument("--g1", type=int, required=True)
-    p.add_argument("--g2", type=int, required=True)
+    _int_options(p, "--r", "--k", "--chi1", "--chi2", "--g1", "--g2")
     p.add_argument("--w1", type=rational_arg, default=None, metavar="P/Q")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(handler=_cmd_check_sufficiency)
 
     p = sub.add_parser("dims", help="dimension formulas for the moduli space")
-    p.add_argument("--g1", type=int, required=True)
-    p.add_argument("--g2", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _int_options(p, "--g1", "--g2", "--r")
     p.set_defaults(handler=_cmd_dims)
 
     p = sub.add_parser("mk-test", help="shifted-slope (m,k)-semistability comparison")
-    p.add_argument("--sub-d", type=int, required=True)
-    p.add_argument("--sub-rk", type=int, required=True)
-    p.add_argument("--amb-d", type=int, required=True)
-    p.add_argument("--amb-rk", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _int_options(p, "--sub-d", "--sub-rk", "--amb-d", "--amb-rk", "--m", "--k")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(handler=_cmd_mk_test)
 

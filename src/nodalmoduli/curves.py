@@ -43,7 +43,7 @@ class Polarization(Record):
     def __init__(self, w1: Fraction, w2: Fraction) -> None:
         w1 = Fraction(exact(w1, "weights"))
         w2 = Fraction(exact(w2, "weights"))
-        if not (0 < w1 < 1 and 0 < w2 < 1):
+        if not 0 < w1 < 1:  # then 0 < w2 < 1 when the sum check passes
             raise ValueError(
                 f"weights must lie strictly between 0 and 1, got ({w1}, {w2})"
             )

@@ -31,7 +31,8 @@ to r; on it, when 0 <= chi1 <= k.  The lower end is open throughout a
 side, or not, by chi1 alone.  So between those lines every cell has the
 same verdict and openness, and a closed endpoint is L/|chi| or U/|chi|
 with L and U fixed.  :func:`region_runs` cuts each row of a box into such
-runs, at most five per row.
+runs, at most five per row, in three cases: chi1 < 0, 0 <= chi1 <= k (where
+at either end the diagonal meets a cut, which is skipped) and chi1 > k.
 """
 
 from __future__ import annotations
@@ -163,18 +164,15 @@ def in_region(r: int, k: int, chi1: int, chi2: int) -> bool:
 
 
 def _row_starts(r: int, k: int, chi1: int) -> tuple[int, ...]:
-    """The chi2 at which the runs of row chi1 after the first begin,
-    ascending, by the split in the module docstring; two adjacent runs
-    differ in verdict, openness or the sign of chi."""
-    d = r - chi1
+    """The chi2 at which the runs of row chi1 after the first begin, by the
+    three cases of the module docstring: ascending, with a start repeated at
+    chi1 = 0 and at chi1 = k, which _runs skips.  Two adjacent runs differ in
+    verdict, openness or the sign of chi."""
     if chi1 < 0:
         return (r - k, r)
-    if chi1 == 0:
-        return (r - k, r, r + 1)
-    if chi1 < k:
+    if chi1 <= k:
+        d = r - chi1
         return (r - k, d, d + 1, r + 1)
-    if chi1 == k:
-        return (d, d + 1, r + 1)
     return (r - k + 1, r + 1)
 
 

@@ -1,7 +1,9 @@
 """Irreducible components of the moduli space of rank-(r, r) classes.
 
-Components are the compatible splittings at k = r (see ``feasibility``);
-every component has the same dimension r^2(g1 + g2 - 1) + 1.
+Components are the compatible splittings at k = r (see ``feasibility``).  One
+is birational to a projective bundle over the product of the two smooth-curve
+moduli spaces, so its dimension is the smooth-curve one at genus g1 + g2, and
+fixing both determinants takes off dim Pic(C1) x Pic(C2) = g1 + g2.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ class ComponentRecord(Record):
 
 def component_dimension(c: NodalCurve, r: int) -> int:
     """Dimension r^2(g1 + g2 - 1) + 1 of every irreducible component."""
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
-    return r * r * (c.arithmetic_genus - 1) + 1
+    return dim_moduli_smooth(r, 1, c.arithmetic_genus)
 
 
 def projective_bundle_dimension(c: NodalCurve, r: int) -> int:
@@ -48,9 +48,7 @@ def projective_bundle_dimension(c: NodalCurve, r: int) -> int:
 def fixed_det_fiber_dimension(c: NodalCurve, r: int) -> int:
     """Dimension (r^2 - 1)(g1 + g2 - 1) of a fiber of the map recording the
     determinants of the two restrictions."""
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
-    return (r * r - 1) * (c.arithmetic_genus - 1)
+    return component_dimension(c, r) - c.arithmetic_genus
 
 
 def is_generic_for(chi: int, w: Polarization) -> bool:
