@@ -30,7 +30,7 @@ from .moduli import (
     is_generic_for,
     projective_bundle_dimension,
 )
-from .rationals import parse_rational
+from .rationals import parse_rational, short_repr
 from .stability import StabilityHypotheses, check_sufficiency, mk_semistable_test
 
 MAX_CELLS_ENV = "NODAL_MODULI_MAX_CELLS"
@@ -43,6 +43,10 @@ REGION_BATCH = 1000
 
 _JSON_BOOL = {False: "false", True: "true"}
 
+# An integer as int() reads it, but of any length: int() refuses a match only
+# for its digits.  Spaces are \s less \x1c-\x1f, which int() does not strip.
+_INTEGER_RE = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
+
 # Parsed arguments that are not inputs of the command.
 _NOT_ECHOED = frozenset({"subcommand", "handler", "format"})
 
@@ -54,14 +58,24 @@ def rational_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int_arg(text: str) -> int:
+    """int(text), the type of every integer option.  A refusal quotes text
+    through short_repr, and names the digit limit when that is the cause."""
+    try:
+        return int(text)
+    except ValueError:
+        too_long = _INTEGER_RE.fullmatch(text)
+        what = "too many digits in integer" if too_long else "invalid int value"
+        raise argparse.ArgumentTypeError(f"{what}: {short_repr(text)}") from None
+
+
 def int_range_arg(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise argparse.ArgumentTypeError(f"expected 'lo:hi', got {text!r}")
-    try:
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected integer bounds in {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi', got {short_repr(text)}")
+    if not (_INTEGER_RE.fullmatch(lo) and _INTEGER_RE.fullmatch(hi)):
+        raise argparse.ArgumentTypeError(f"expected integer bounds in {short_repr(text)}")
+    return _int_arg(lo), _int_arg(hi)
 
 
 def _echo(value) -> str:
@@ -325,14 +339,17 @@ def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
     An array of n rows is refused when its n^3 elimination updates exceed
     the cap, before any cell is decoded.  The decoded JSON dies on return,
     so it is not held while the rank is eliminated.  Arrays nested deeper
-    than the decoder's recursion limit are a ValueError, not a crash, and so
-    is an integer cell of more digits than the interpreter converts: integers
-    are decoded as text, so parse_ratio refuses such a cell by name."""
+    than the decoder's recursion limit are a ValueError, not a crash; so are
+    a byte that is not UTF-8 and an integer cell of more digits than the
+    interpreter converts: integers are decoded as text, so parse_ratio
+    refuses such a cell by name."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh, parse_int=str)
         except RecursionError:
             raise ValueError(f"{path}: arrays nested too deeply to decode") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 at byte {exc.start}") from None
     if isinstance(raw, list):
         _check_work(len(raw) ** 3, "rank elimination of {} entry updates")
     return parse_matrix(raw)
@@ -401,7 +418,7 @@ def _cmd_mk_test(args) -> None:
 def _int_options(parser: argparse.ArgumentParser, *names: str) -> None:
     """Add each of names to parser as a required integer option, in order."""
     for name in names:
-        parser.add_argument(name, type=int, required=True)
+        parser.add_argument(name, type=_int_arg, required=True)
 
 
 @functools.cache

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -23,7 +24,7 @@ from nodalmoduli.moduli import enumerate_components
 from nodalmoduli.rationals import format_rational
 from nodalmoduli.stability import StabilityHypotheses, check_sufficiency
 from test_gluing import _rank_t_core, _scaled_matrix
-from oracles import DEFAULT_DIGIT_LIMIT
+from oracles import DEFAULT_DIGIT_LIMIT, needs_default_digit_limit
 from test_golden import CASES, DIGIT_LIMIT_CASES, GOLDEN, run_case
 
 
@@ -135,14 +136,28 @@ class TestGlue:
             "type": "ValueError",
         }
 
-    def test_non_utf8_file_keeps_its_decode_error(self, capsys, tmp_path):
+    def test_non_utf8_file_names_its_path_and_byte(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'[["\xff"]]')
         code, out, _ = run(
             capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
         )
         assert code == 1
-        assert json.loads(out)["error"]["type"] == "UnicodeDecodeError"
+        assert json.loads(out)["error"] == {
+            "message": f"{path}: not UTF-8 at byte 3",
+            "type": "ValueError",
+        }
+
+    def test_decode_error_names_the_file_offset_past_the_first_chunk(self, capsys, tmp_path):
+        # 33,000 bytes before the bad byte: more than one read buffer.
+        head = b"[" + b'["1", "2"],' * 3000 + b'["'
+        path = tmp_path / "late.json"
+        path.write_bytes(head + b'\xe9"]]')
+        code, out, _ = run(
+            capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == f"{path}: not UTF-8 at byte {len(head)}"
 
     def test_zero_matrix_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -819,6 +834,80 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "unrecognized arguments: --json" in err
+
+    def test_long_non_integer_is_quoted_short(self, capsys):
+        code, _, err = run(capsys, "dims", "--g1", "2", "--g2", "3", "--r", "x" * 100)
+        assert code == 2
+        assert err.endswith(
+            f"argument --r: invalid int value: '{'x' * 39}... (102 characters)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "chi1", ["a:" + "1" * 5000, "1" * 5000], ids=["non_integer_bound", "no_colon"]
+    )
+    def test_long_range_is_quoted_short(self, capsys, chi1):
+        code, _, err = run(
+            capsys, "region", "--r", "2", "--k", "1", "--chi1", chi1, "--chi2", "0:1"
+        )
+        assert code == 2
+        assert len(err) < 300
+        assert f"({len(chi1) + 2} characters)" in err
+
+    @needs_default_digit_limit
+    @pytest.mark.parametrize(
+        "chi1, bound",
+        [("1" * 5000 + ":0", "1" * 5000), ("0: -" + "2" * 5000, " -" + "2" * 5000)],
+        ids=["lower", "upper"],
+    )
+    def test_too_many_digits_in_either_bound_names_that_bound(self, capsys, chi1, bound):
+        with pytest.raises(argparse.ArgumentTypeError) as caught:
+            cli.int_range_arg(chi1)
+        assert str(caught.value) == (
+            f"too many digits in integer: {repr(bound)[:40]}... ({len(bound) + 2} characters)"
+        )
+
+
+def _pattern_mismatches(pattern, texts) -> list[str]:
+    """The texts on which int() and a full match of pattern disagree."""
+    mismatches = []
+    for text in texts:
+        try:
+            int(text)
+            reads = True
+        except ValueError:
+            reads = False
+        if reads != (pattern.fullmatch(text) is not None):
+            mismatches.append(text)
+    return mismatches
+
+
+def _texts_around_each_character():
+    """Every character that is a space or a digit to str, and a few others,
+    alone and in each position around a digit."""
+    for c in map(chr, range(0x110000)):
+        if c.isspace() or c.isdigit() or c in "+-_x.\u200b\ufeff":
+            yield from (c, "1" + c, c + "1", c + "1" + c, "1" + c + "1", "-" + c + "1")
+
+
+def _random_texts(n):
+    rng = random.Random(16)
+    alphabet = list("0123456789_+- \t\n\x1c\x1fx.") + ["\u0663", "\xa0", "\u3000", "\xb2"]
+    for _ in range(n):
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+
+
+def test_integer_pattern_matches_exactly_what_int_reads():
+    assert _pattern_mismatches(cli._INTEGER_RE, _texts_around_each_character()) == []
+    assert _pattern_mismatches(cli._INTEGER_RE, _random_texts(20_000)) == []
+
+
+def test_negative_control_plain_space_class_is_caught():
+    # \s also takes the separators \x1c-\x1f, which int() does not strip.
+    loose = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+    mismatches = _pattern_mismatches(loose, _texts_around_each_character())
+    assert sorted(mismatches) == sorted(
+        text for c in "\x1c\x1d\x1e\x1f" for text in ("1" + c, c + "1", c + "1" + c)
+    )
 
 
 def test_python_dash_m_runs_the_cli():

@@ -65,6 +65,13 @@ CASES = {
         1,
         {},
     ),
+    # A 5,000-digit upper bound, refused by name; region_huge_range is
+    # refused by the cap instead.
+    "region_huge_bound": (
+        ["region", "--r", "2", "--k", "1", "--chi1", "0:" + "1" * 5000, "--chi2", "0:1"],
+        2,
+        {},
+    ),
     "region_k_out_of_range": (
         ["region", "--r", "2", "--k", "0", "--chi1", "0:1", "--chi2", "0:1"], 1, {}
     ),
@@ -202,6 +209,10 @@ CASES = {
     "glue_row_not_array": (
         ["glue", "--matrix", "row_not_array.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
+    # Byte 10 is 0xff, which no UTF-8 text holds.
+    "glue_not_utf8": (
+        ["glue", "--matrix", "not_utf8.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
     "glue_malformed_json": (
         ["glue", "--matrix", "malformed.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
@@ -272,9 +283,18 @@ CASES = {
     "dims_genus_zero": (["dims", "--g1", "2", "--g2", "0", "--r", "2"], 1, {}),
     "dims_rank_zero": (["dims", "--g1", "2", "--g2", "3", "--r", "0"], 1, {}),
     "dims_non_integer_rank": (["dims", "--g1", "2", "--g2", "3", "--r", "x"], 2, {}),
+    # 5,000 digits, past int()'s limit: the error quotes the first 40 characters.
+    "dims_huge_rank": (["dims", "--g1", "2", "--g2", "3", "--r", "1" * 5000], 2, {}),
     "mk_test": (
         ["mk-test", "--sub-d", "1", "--sub-rk", "1", "--amb-d", "3", "--amb-rk", "2",
          "--m", "0", "--k", "1"],
+        0,
+        {},
+    ),
+    # Fails, where the subsheaf with degree and rank swapped would pass.
+    "mk_test_steep_subsheaf": (
+        ["mk-test", "--sub-d", "3", "--sub-rk", "1", "--amb-d", "4", "--amb-rk", "2",
+         "--m", "0", "--k", "0"],
         0,
         {},
     ),
@@ -300,7 +320,10 @@ def run_case(name, capsys, monkeypatch):
 
 
 # Cases past the interpreter's digit limit on int(), which pin its default.
-DIGIT_LIMIT_CASES = {"components_huge_weight", "glue_huge_digits", "glue_huge_int_cell"}
+DIGIT_LIMIT_CASES = {
+    "components_huge_weight", "dims_huge_rank", "glue_huge_digits", "glue_huge_int_cell",
+    "region_huge_bound",
+}
 
 
 @pytest.mark.parametrize(
