@@ -48,6 +48,17 @@ class TestPolarization:
         with pytest.raises(ValueError):
             Polarization(w1, w2)
 
+    def test_w1_out_of_range_names_both_weights(self):
+        with pytest.raises(ValueError) as caught:
+            Polarization(Fraction(0), Fraction(1))
+        assert str(caught.value) == "weights must lie strictly between 0 and 1, got (0, 1)"
+
+    def test_w2_out_of_range_fails_the_sum_check(self):
+        # 0 < w1 < 1 and w1 + w2 = 1 give 0 < w2 < 1, so w2 has no range check.
+        with pytest.raises(ValueError) as caught:
+            Polarization(Fraction(1, 2), Fraction(3, 2))
+        assert str(caught.value) == "weights must sum to 1, got 1/2 + 3/2 = 2"
+
     def test_from_w1(self):
         assert Polarization.from_w1(Fraction(1, 4)).w2 == Fraction(3, 4)
 
@@ -126,6 +137,15 @@ class TestDimModuli:
     def test_genus_zero_rejected(self):
         with pytest.raises(ValueError):
             dim_moduli_smooth(2, 3, 0)
+
+    def test_rank_one_is_the_genus(self):
+        for g in range(2, 9):
+            for d in range(-3, 4):
+                assert dim_moduli_smooth(1, d, g) == g
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+            dim_moduli_smooth(0, 1, 2)
 
 
 class TestMkSlope:

@@ -262,6 +262,11 @@ class TestMkSemistableTest:
     def test_clear_fail(self):
         assert not mk_semistable_test((2, 1), (3, 2), 0, 2)
 
+    def test_steep_subsheaf_fails_where_its_transpose_passes(self):
+        # Degree 3 over rank 1 beats 4/2; degree 1 over rank 3 does not.
+        assert not mk_semistable_test((3, 1), (4, 2), 0, 0)
+        assert mk_semistable_test((1, 3), (4, 2), 0, 0)
+
     def test_zero_rank_rejected(self):
         with pytest.raises(ValueError):
             mk_semistable_test((1, 0), (3, 2), 0, 1)
@@ -309,4 +314,33 @@ class TestGateBypassed:
                             if "chi1 <= chi*w1 + k" in violated:
                                 assert not holds, (r, k, chi1, chi2, w.w1)
                             witnesses += not holds
+        assert witnesses > 100
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["semistable", "strict"])
+    def test_every_witness_is_a_legal_shape(self, monkeypatch, strict):
+        # Both modes, gate switched off: each answer is the reference's, and
+        # each witness is a shape the sweep may try, 0 <= s <= k and
+        # s <= s1, s2 <= r, neither (0, 0) nor, when strict, (r, r).
+        monkeypatch.setattr(stability, "violated_conditions", lambda u, w: [])
+        weights = [Polarization.from_w1(Fraction(p, 7)) for p in range(1, 7)]
+        witnesses = 0
+        for r in (2, 3):
+            for k in range(1, r + 1):
+                for chi1 in range(-4, 5):
+                    for chi2 in range(-4, 5):
+                        h = StabilityHypotheses(r, k, chi1, chi2, r + 2, r + 2)
+                        for w in weights:
+                            if not violated_conditions(h.gluing(), w):
+                                continue
+                            holds, witness = check_sufficiency(h, w, strict=strict)
+                            assert (holds, _as_tuple(witness)) == windowed_sufficiency(
+                                h, w.w1, window=3, strict=strict
+                            )
+                            if witness is None:
+                                continue
+                            s, s1, s2 = witness.s, witness.s1, witness.s2
+                            assert 0 <= s <= k and s <= s1 <= r and s <= s2 <= r
+                            assert (s1, s2) != (0, 0)
+                            assert not (strict and (s1, s2) == (r, r))
+                            witnesses += 1
         assert witnesses > 100
