@@ -31,8 +31,8 @@ to r; on it, when 0 <= chi1 <= k.  The lower end is open throughout a
 side, or not, by chi1 alone.  So between those lines every cell has the
 same verdict and openness, and a closed endpoint is L/|chi| or U/|chi|
 with L and U fixed.  :func:`region_runs` cuts each row of a box into such
-runs, at most five per row, in three cases: chi1 < 0, 0 <= chi1 <= k (where
-at either end the diagonal meets a cut, which is skipped) and chi1 > k.
+runs, at most five per row, in three cases: chi1 < 0, 0 <= chi1 <= k (at
+both ends the diagonal repeats a cut, which is skipped) and chi1 > k.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Irreducible components of the moduli space of rank-(r, r) classes.
 
-Components are the compatible splittings at k = r (see ``feasibility``).  One
+Components are the compatible splittings at k = r (see ``feasibility``).  Each
 is birational to a projective bundle over the product of the two smooth-curve
 moduli spaces, so its dimension is the smooth-curve one at genus g1 + g2, and
 fixing both determinants takes off dim Pic(C1) x Pic(C2) = g1 + g2.
