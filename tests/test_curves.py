@@ -143,10 +143,6 @@ class TestDimModuli:
             for d in range(-3, 4):
                 assert dim_moduli_smooth(1, d, g) == g
 
-    def test_rank_zero_rejected(self):
-        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
-            dim_moduli_smooth(0, 1, 2)
-
 
 class TestMkSlope:
     def test_examples(self):

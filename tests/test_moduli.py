@@ -93,14 +93,6 @@ class TestDimensions:
         assert fixed_det_fiber_dimension(curve, 1) == 0
         assert projective_bundle_dimension(curve, 1) == 5
 
-    @pytest.mark.parametrize(
-        "dimension",
-        [component_dimension, fixed_det_fiber_dimension, projective_bundle_dimension],
-    )
-    def test_rank_zero_is_refused(self, dimension):
-        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
-            dimension(NodalCurve(2, 3), 0)
-
     def test_dimension_identities_box(self):
         for g1 in range(1, 7):
             for g2 in range(1, 7):
