@@ -89,17 +89,21 @@ def validate_ranks(r: int, k: int | None = None) -> None:
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+    """Rank over the rationals by fraction-free elimination on primitive rows.
 
     Each entry is converted once (ints and Fractions as they are, floats
     refused), and each row that is not all ints is scaled by the lcm of its
     denominators to integers.  Each column and then each row is divided by
-    the gcd of its entries; nonzero scaling does not change the rank, and
-    it keeps the integers that elimination multiplies small.  The pivot is the first
-    nonzero entry of the column among the rows not yet used; rows that
-    become zero are dropped, and every later division is exact.  A row with
-    a zero in the pivot column only has its tail rescaled, by lead/prev.
-    Requires a square matrix, which is left unchanged.
+    the gcd of its entries; nonzero scaling does not change the rank.  The
+    pivot is the first nonzero entry of the column among the rows not yet
+    used.  A row with factor f in the pivot column, against the pivot's lead
+    m (both divided by their gcd), becomes m*tail - f*pivot_tail divided by
+    the gcd of its entries; a row with a zero factor just drops that entry.
+    Rows that become zero are dropped.  This is exact: for the same pivots,
+    each updated row and Bareiss's are nonzero multiples of the Gaussian
+    elimination row, so zero patterns, pivots and rank agree, and a primitive
+    row is never larger in absolute value than Bareiss's minors.  Requires
+    a square matrix, which is left unchanged.
     """
     n = len(matrix)
     if n == 0:
@@ -122,7 +126,6 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     rows = [_primitive(row) for row in rows if any(row)]
 
     rank = 0
-    prev = 1
     while rows:
         pivot = next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
@@ -135,23 +138,20 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         for i, row in enumerate(rows):
             factor = row[0]
             if factor:
-                rows[i] = [
-                    (a * lead - factor * b) // prev for a, b in zip(row[1:], pivot_tail)
-                ]
-            elif lead != prev:
-                rows[i] = [a * lead // prev for a in row[1:]]
+                g = math.gcd(lead, factor)
+                m, f = lead // g, factor // g
+                rows[i] = _primitive([m * a - f * b for a, b in zip(row[1:], pivot_tail)])
             else:
                 rows[i] = row[1:]
         rows = list(filter(any, rows))
-        prev = lead
         rank += 1
     return rank
 
 
 def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
+    """The row divided by the gcd of its entries; an all-zero row as it is."""
     g = math.gcd(*row)
-    return row if g == 1 else [a // g for a in row]
+    return row if g <= 1 else [a // g for a in row]
 
 
 def glued_class(u: GluingDatum) -> tuple[SheafClass, StalkType, bool]:
