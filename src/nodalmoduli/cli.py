@@ -286,12 +286,15 @@ def _write_batches(batches, sep: str) -> None:
 def _check_work(units: int, what: str) -> None:
     """Refuse a command whose work in units exceeds the cap,
     NODAL_MODULI_MAX_CELLS or DEFAULT_MAX_CELLS when unset; `what` names the
-    work with a {} for the count, as in the region message."""
+    work with a {} for the count, as in the region message.  A cap that is
+    not an int is quoted through short_repr, and the digit limit is named
+    when that is the cause."""
     raw = os.environ.get(MAX_CELLS_ENV)
     try:
         cap = DEFAULT_MAX_CELLS if raw is None else int(raw)
     except ValueError:
-        raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}")
+        cause = "has too many digits" if _INTEGER_RE.fullmatch(raw) else "must be an integer"
+        raise ValueError(f"{MAX_CELLS_ENV} {cause}, got {short_repr(raw)}") from None
     if units > cap:
         raise ValueError(f"{what.format(units)} exceeds the cap of {cap}")
 

@@ -725,6 +725,21 @@ class TestWorkCaps:
         assert code == 1
         assert "must be an integer" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("value, message", [
+        # An integer past int()'s digit limit is one: the message says so.
+        pytest.param("7" * 5000, "has too many digits, got '777",
+                     marks=needs_default_digit_limit),
+        ("x" * 5000, "must be an integer, got 'xxx"),
+    ])
+    @pytest.mark.parametrize("argv", [SWEEP, COMPONENTS, GLUE])
+    def test_long_cap_value_is_quoted_short(self, capsys, monkeypatch, argv, value, message):
+        monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", value)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        got = json.loads(out)["error"]["message"]
+        assert got.startswith(f"NODAL_MODULI_MAX_CELLS {message}")
+        assert got.endswith("... (5002 characters)")
+
     def test_library_functions_are_uncapped(self, monkeypatch):
         monkeypatch.setenv("NODAL_MODULI_MAX_CELLS", "1")
         h = StabilityHypotheses(3, 2, 2, 4, 5, 5)

@@ -59,6 +59,12 @@ CASES = {
         1,
         {"NODAL_MODULI_MAX_CELLS": "10"},
     ),
+    # A cap past int()'s digit limit, refused by name and quoted short.
+    "region_cap_huge_env": (
+        ["region", "--r", "2", "--k", "1", "--chi1", "0:1", "--chi2", "0:1"],
+        1,
+        {"NODAL_MODULI_MAX_CELLS": "7" * 5000},
+    ),
     "region_huge_range": (
         ["region", "--r", "2", "--k", "1",
          "--chi1=-100000000000000000000:100000000000000000000", "--chi2", "0:1"],
@@ -322,7 +328,7 @@ def run_case(name, capsys, monkeypatch):
 # Cases past the interpreter's digit limit on int(), which pin its default.
 DIGIT_LIMIT_CASES = {
     "components_huge_weight", "dims_huge_rank", "glue_huge_digits", "glue_huge_int_cell",
-    "region_huge_bound",
+    "region_cap_huge_env", "region_huge_bound",
 }
 
 
