@@ -182,6 +182,22 @@ CASES = {
     "glue_zero_denominator": (
         ["glue", "--matrix", "zero_denominator.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
+    # A NUL inside a cell: one cell, not two, however a row is decoded.
+    "glue_nul_in_cell": (
+        ["glue", "--matrix", "nul_in_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    # Arabic-Indic digits, which both \d and int() accept.
+    "glue_unicode_digits": (
+        ["glue", "--matrix", "unicode_digits.json", "--chi1", "1", "--chi2", "1"], 0, {}
+    ),
+    # A row with a zero denominator before a malformed cell: the first bad
+    # cell in row order names the error.
+    "glue_zero_denominator_before_bad_cell": (
+        ["glue", "--matrix", "zero_denominator_before_bad_cell.json",
+         "--chi1", "0", "--chi2", "0"],
+        1,
+        {},
+    ),
     "glue_bool_cell": (
         ["glue", "--matrix", "bool_cell.json", "--chi1", "0", "--chi2", "0"], 1, {}
     ),
