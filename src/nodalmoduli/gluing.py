@@ -9,12 +9,16 @@ which case k is computed from it by fraction-free elimination.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
 from .curves import SheafClass
-from .rationals import exact, parse_ratio, short_repr
+from .rationals import _CELL, exact, parse_ratio, short_repr
+
+# A row of cells joined by NUL, which \s does not match.
+_ROW_RE = re.compile(f"{_CELL}(?:\x00{_CELL})*")
 
 Matrix = tuple[tuple[Fraction | int, ...], ...]
 
@@ -53,7 +57,7 @@ class GluingDatum(Record):
             # Rows that are already tuples of ints (parse_matrix's) are kept.
             sigma = tuple(
                 row
-                if type(row) is tuple and all(type(x) is int for x in row)
+                if type(row) is tuple and _ints(row)
                 else tuple(exact(x, "matrix entries") for x in row)
                 for row in sigma
             )
@@ -96,13 +100,16 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     denominators to integers.  Each column and then each row is divided by
     the gcd of its entries; nonzero scaling does not change the rank.  The
     pivot is the first nonzero entry of the column among the rows not yet
-    used.  A row with factor f in the pivot column, against the pivot's lead
-    m (both divided by their gcd), becomes m*tail - f*pivot_tail divided by
-    the gcd of its entries; a row with a zero factor just drops that entry.
-    Rows that become zero are dropped.  This is exact: for the same pivots,
-    each updated row and Bareiss's are nonzero multiples of the Gaussian
-    elimination row, so zero patterns, pivots and rank agree, and a primitive
-    row is never larger in absolute value than Bareiss's minors.  Requires
+    used, its row negated when that entry is negative.  A row with factor f
+    in the pivot column, against the pivot's lead m (both divided by their
+    gcd), becomes m*tail - f*pivot_tail; when m is 1 that is the whole
+    update, and otherwise the row is then divided by the gcd of its entries.
+    A row with a zero factor just drops that entry.  Rows that become zero
+    are dropped.  This is exact: a row c*G, for G the Gaussian elimination
+    row and c a nonzero scalar, becomes m*c*G', so a unit step keeps c and
+    any other step makes the row primitive again; zero patterns, pivots and
+    rank are those of Gaussian elimination.  An entry is at most the scalar
+    its row got at its last primitive step times a Gaussian entry.  Requires
     a square matrix, which is left unchanged.
     """
     n = len(matrix)
@@ -114,7 +121,7 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
             raise ValueError(
                 f"matrix must be square, got a row of length {len(row)} with {n} rows"
             )
-        if all(type(x) is int for x in row):
+        if _ints(row):
             rows.append(row)
             continue
         entries = [exact(x, "matrix entries") for x in row]
@@ -134,18 +141,29 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         pivot_row = rows.pop(pivot)
         lead = pivot_row[0]
         pivot_tail = pivot_row[1:]
+        if lead < 0:
+            lead = -lead
+            pivot_tail = [-b for b in pivot_tail]
         # In place, so each old row is freed as soon as its update is built.
         for i, row in enumerate(rows):
             factor = row[0]
             if factor:
                 g = math.gcd(lead, factor)
                 m, f = lead // g, factor // g
-                rows[i] = _primitive([m * a - f * b for a, b in zip(row[1:], pivot_tail)])
+                if m == 1:  # a unit step keeps the row's scalar: no content gcd
+                    rows[i] = [a - f * b for a, b in zip(row[1:], pivot_tail)]
+                else:
+                    rows[i] = _primitive([m * a - f * b for a, b in zip(row[1:], pivot_tail)])
             else:
                 rows[i] = row[1:]
         rows = list(filter(any, rows))
         rank += 1
     return rank
+
+
+def _ints(row: Sequence) -> bool:
+    """Whether every entry of the nonempty row is exactly an int."""
+    return {*map(type, row)} == {int}
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -186,6 +204,12 @@ def parse_matrix(data: object) -> tuple[tuple[int, ...], ...]:
     Row i is returned as integers: the file's row i times the lcm of the
     denominators written in it.  Scaling a row by a nonzero number keeps the
     rank and the row space, and the rank is all that is read from sigma.
+
+    A row of strings is decoded whole: one match of the cell pattern over
+    the row joined by NULs (a NUL in a cell makes one separator too many),
+    then ``str.partition`` and ``int`` per cell.  A row that does not decode
+    so is decoded again cell by cell by ``parse_ratio``, which names its
+    first bad cell; that loop also takes a library caller's int cells.
     """
     if not isinstance(data, list) or not data:
         raise ValueError("matrix JSON must be a nonempty array of rows")
@@ -193,18 +217,31 @@ def parse_matrix(data: object) -> tuple[tuple[int, ...], ...]:
     for row in data:
         if not isinstance(row, list):
             raise ValueError("matrix JSON rows must be arrays")
-        nums, dens = [], []
-        for cell in row:
-            if isinstance(cell, str):
-                num, den = parse_ratio(cell)
-            elif isinstance(cell, int) and not isinstance(cell, bool):
-                num, den = cell, 1
-            else:
-                raise ValueError(
-                    f"matrix entries must be 'p/q' strings, got {short_repr(cell)}"
-                )
-            nums.append(num)
-            dens.append(den)
+        try:
+            text = "\x00".join(row)
+        except TypeError:  # a cell that is not a string
+            text = ""
+        nums = None
+        if text.count("\x00") == len(row) - 1 and _ROW_RE.fullmatch(text):
+            parts = [cell.partition("/") for cell in row]
+            try:
+                nums = [int(num) for num, _, _ in parts]
+                dens = [int(den) if den else 1 for _, _, den in parts]
+            except ValueError:  # past the digit limit, or \x1c-\x1f around a cell
+                nums = None
+        if nums is None or 0 in dens:
+            nums, dens = [], []
+            for cell in row:
+                if isinstance(cell, str):
+                    num, den = parse_ratio(cell)
+                elif isinstance(cell, int) and not isinstance(cell, bool):
+                    num, den = cell, 1
+                else:
+                    raise ValueError(
+                        f"matrix entries must be 'p/q' strings, got {short_repr(cell)}"
+                    )
+                nums.append(num)
+                dens.append(den)
         scale = math.lcm(*dens)
         rows.append(tuple([num * (scale // den) for num, den in zip(nums, dens)]))
     width = len(rows[0])

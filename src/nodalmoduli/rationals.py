@@ -18,7 +18,9 @@ from fractions import Fraction
 
 from ._record import Record
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# A "p/q" or "p" cell and its padding; gluing.parse_matrix matches rows of it.
+_CELL = r"\s*[+-]?\d+(?:/\d+)?\s*"
+_RATIONAL_RE = re.compile(_CELL)
 
 
 def short_repr(value: object) -> str:
@@ -37,14 +39,14 @@ def parse_ratio(text: str) -> tuple[int, int]:
     reduced.  Decimal notation is rejected rather than rounded, and so is a
     number past the interpreter's limit on the digits ``int`` converts.
     """
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
+    if _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a rational 'p/q' or 'p' string: {short_repr(text)}")
+    num, _, den = text.strip().partition("/")
     try:
-        numerator = int(m.group(1))
-        if m.group(2) is None:
+        numerator = int(num)
+        if not den:
             return numerator, 1
-        denominator = int(m.group(2))
+        denominator = int(den)
     except ValueError:
         # More digits than the interpreter's limit on int() of a string.
         raise ValueError(f"too many digits in rational: {short_repr(text)}") from None

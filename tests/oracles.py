@@ -11,16 +11,19 @@ finite ``RationalInterval`` values.  The compatibility window
 chi*w1 <= chi1 <= chi*w1 + k, which the library computes in integers in
 ``feasibility.chi1_window``, is restated here in ``Fraction`` arithmetic.
 The skip mark ``needs_default_digit_limit`` and its condition
-``DEFAULT_DIGIT_LIMIT`` are shared here as well.
+``DEFAULT_DIGIT_LIMIT`` are shared here as well, and so is
+``cellwise_parse_matrix``, the cell-by-cell matrix decode that
+``gluing.parse_matrix``'s whole-row decode is checked against.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from nodalmoduli.rationals import RationalInterval
+from nodalmoduli.rationals import RationalInterval, short_repr
 
 # The digit-limit cases pin what the interpreter's default limit of 4,300
 # digits on int() of a string refuses.  Python 3.10.0-3.10.6 have no limit,
@@ -203,3 +206,54 @@ def fraction_degree_bounds(shape, h, strict: bool = False):
     max1 = None if s1 == 0 else floor_bound(Fraction(s1 * (h.d1 - h.k), h.r))
     max2 = None if s2 == 0 else floor_bound(Fraction(s2 * (h.d2 - 2 * h.r), h.r))
     return max1, max2
+
+
+# The "p/q" or "p" pattern, matched against the stripped cell.
+_RATIO_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def cellwise_ratio(text: str) -> tuple[int, int]:
+    """One "p/q" or "p" cell as the integer pair (p, q), decoded through a
+    regex's groups; the errors name the cell as ``rationals.parse_ratio``'s
+    do."""
+    m = _RATIO_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational 'p/q' or 'p' string: {short_repr(text)}")
+    try:
+        numerator = int(m.group(1))
+        denominator = 1 if m.group(2) is None else int(m.group(2))
+    except ValueError:
+        raise ValueError(f"too many digits in rational: {short_repr(text)}") from None
+    if denominator == 0:
+        raise ValueError(f"zero denominator in rational string: {short_repr(text)}")
+    return numerator, denominator
+
+
+def cellwise_parse_matrix(data) -> tuple[tuple[int, ...], ...]:
+    """Reference for ``gluing.parse_matrix``: each cell decoded on its own,
+    a string through ``cellwise_ratio`` and a non-bool int as it is, and each
+    row scaled by the lcm of its denominators; the first bad cell in row
+    order names the error."""
+    if not isinstance(data, list) or not data:
+        raise ValueError("matrix JSON must be a nonempty array of rows")
+    rows = []
+    for row in data:
+        if not isinstance(row, list):
+            raise ValueError("matrix JSON rows must be arrays")
+        nums, dens = [], []
+        for cell in row:
+            if isinstance(cell, str):
+                num, den = cellwise_ratio(cell)
+            elif isinstance(cell, int) and not isinstance(cell, bool):
+                num, den = cell, 1
+            else:
+                raise ValueError(
+                    f"matrix entries must be 'p/q' strings, got {short_repr(cell)}"
+                )
+            nums.append(num)
+            dens.append(den)
+        scale = math.lcm(*dens)
+        rows.append(tuple(num * (scale // den) for num, den in zip(nums, dens)))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows must all have the same length")
+    return tuple(rows)

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, strategies as st
+
 from nodalmoduli import gluing
 from nodalmoduli.gluing import (
     GluingDatum,
@@ -18,6 +20,7 @@ from nodalmoduli.gluing import (
     matrix_rank,
     parse_matrix,
 )
+from oracles import cellwise_parse_matrix, needs_default_digit_limit
 
 
 def _det(matrix) -> Fraction:
@@ -93,11 +96,14 @@ def _content_heavy_cases(rng: random.Random, n: int):
     ]
 
 
-def _rank_t_core(rng: random.Random, m: int, t: int) -> list[list[int]]:
+def _rank_t_core(
+    rng: random.Random, m: int, t: int, ds: tuple[int, ...] = (-3, -2, -1, 1, 2, 3)
+) -> list[list[int]]:
     """L diag(d) U with L unit lower and U unit upper triangular (so both
-    unimodular) and d nonzero on the first t places only: rank exactly t.
-    Its leading (m-1) x (m-1) minor is the product d[0] ... d[m-2]."""
-    d = [rng.choice((-3, -2, -1, 1, 2, 3)) if l < t else 0 for l in range(m)]
+    unimodular) and d drawn from ds on the first t places, zero after: rank
+    exactly t.  Its leading (m-1) x (m-1) minor is the product d[0] ...
+    d[m-2], and d[l] is the l-th pivot of Gaussian elimination."""
+    d = [rng.choice(ds) if l < t else 0 for l in range(m)]
     low = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(m)] for i in range(m)]
     up = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(m)] for i in range(m)]
     return [
@@ -194,6 +200,18 @@ def _as_cells(rng: random.Random, matrix):
     return cells, dens
 
 
+def _gaussian_leads(matrix) -> list[Fraction]:
+    """The pivot of each step of Gaussian elimination in Fraction arithmetic
+    without row exchanges, up to the first zero pivot."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    leads = []
+    while rows and rows[0][0]:
+        pivot = rows.pop(0)
+        leads.append(pivot[0])
+        rows = [[a - row[0] / pivot[0] * b for a, b in zip(row[1:], pivot[1:])] for row in rows]
+    return leads
+
+
 def _sympy_rank(sympy, matrix) -> int:
     return sympy.Matrix(
         [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
@@ -286,6 +304,48 @@ class TestMatrixRank:
         got, peak = self._rank_and_peak(self.DENSE_CASE)
         assert got == 32
         assert peak > self.DENSE_BOUND
+
+    # Known-rank cores whose d is all +-1, so every pivot lead of their
+    # elimination is +-1 and every update is a unit step: full rank with
+    # positive leads, full rank with a negative lead, and rank n - 3.
+    UNIT_LEAD_CASES = [
+        (_rank_t_core(random.Random(33), 12, 12, (1,)), 12),
+        (_rank_t_core(random.Random(34), 12, 12, (-1, 1)), 12),
+        (_rank_t_core(random.Random(35), 12, 9, (-1, 1)), 9),
+    ]
+
+    @staticmethod
+    def _rank_and_primitive_calls(monkeypatch, matrix) -> tuple[int, int]:
+        calls = []
+        primitive = gluing._primitive
+
+        def counting(row):
+            calls.append(row)
+            return primitive(row)
+
+        monkeypatch.setattr(gluing, "_primitive", counting)
+        return matrix_rank(matrix), len(calls)
+
+    def test_unit_leads_take_no_content_gcd(self, monkeypatch):
+        leads = [_gaussian_leads(m) for m, _ in self.UNIT_LEAD_CASES]
+        assert all(abs(x) == 1 for x in itertools.chain(*leads))
+        assert set(leads[0]) == {1} and -1 in leads[1]
+        for m, rank in self.UNIT_LEAD_CASES:
+            got, calls = self._rank_and_primitive_calls(monkeypatch, m)
+            assert got == rank
+            assert calls <= len(m)  # the content pass only
+
+    def test_dense_rows_are_made_primitive(self, monkeypatch):
+        # Negative control: on content-free rows m is rarely 1.
+        got, calls = self._rank_and_primitive_calls(monkeypatch, self.DENSE_CASE)
+        assert got == 32
+        assert calls > len(self.DENSE_CASE)
+
+    def test_unit_lead_cases_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for m, rank in self.UNIT_LEAD_CASES:
+            assert _sympy_rank(sympy, m) == rank
+            assert matrix_rank(m) == rank
 
     @pytest.mark.parametrize("n", [*range(1, 13), 24, 48, 64])
     def test_rank_by_construction(self, n):
@@ -459,7 +519,65 @@ def _nested(depth):
     return cell
 
 
+# Cells for the row decode: text over the characters a "p/q" cell is made
+# of and those that break one (Unicode whitespace, "_", Arabic-Indic
+# digits, NUL), well-formed cells padded with that whitespace and with
+# leading zeros, and the non-string cells a JSON or library caller can pass.
+_PAD = st.sampled_from(["", " ", "\t\n", "\x1c", "\x1f", "\xa0", "\u3000"])
+_DIGITS = st.text(alphabet="0123456789\u0663\u0661", min_size=1, max_size=4)
+WELL_FORMED = st.builds(
+    lambda pad, sign, p, q, end: f"{pad}{sign}{p}{'' if q is None else '/' + q}{end}",
+    _PAD, st.sampled_from(["", "+", "-", "00"]), _DIGITS, st.none() | _DIGITS, _PAD,
+)
+CELLS = st.one_of(
+    st.text(alphabet=" \t\x1c\x1d\x1e\x1f\xa0\u3000+-0123_/\x00\u0663.", max_size=8),
+    WELL_FORMED,
+    st.sampled_from(["1/0", "-0/00", "", "\x00", "1\x002", "1/2\x00"]),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([True, False, 0.5, 1.0, None, ["1"], []]),
+)
+# Half the rows hold well-formed cells only, so most of them decode whole.
+MATRICES = st.lists(
+    st.lists(WELL_FORMED, min_size=1, max_size=5) | st.lists(CELLS, min_size=1, max_size=5),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _decode_outcome(decode, data):
+    """What decode does with data: the rows it returns, or the type and
+    message of the ValueError it raises."""
+    try:
+        return decode(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(MATRICES)
+def _decodes_like_cellwise_reference(data):
+    assert _decode_outcome(parse_matrix, data) == _decode_outcome(cellwise_parse_matrix, data)
+
+
 class TestParseMatrix:
+    def test_row_decode_matches_cellwise_reference(self):
+        _decodes_like_cellwise_reference()
+
+    @needs_default_digit_limit
+    @pytest.mark.parametrize(
+        "cell",
+        ["1" * 4301, "-1/" + "7" * 4301, " +" + "0" * 4301 + "5 "],
+        ids=["numerator", "denominator", "padded-leading-zeros"],
+    )
+    @given(before=st.lists(CELLS, max_size=3), after=st.lists(CELLS, max_size=3))
+    def test_digit_limit_cell_matches_cellwise_reference(self, cell, before, after):
+        data = [[*before, cell, *after]]
+        assert _decode_outcome(parse_matrix, data) == _decode_outcome(cellwise_parse_matrix, data)
+
+    def test_negative_control_dropped_lcm_scaling_is_caught(self, monkeypatch):
+        monkeypatch.setattr(gluing, "math", types.SimpleNamespace(gcd=math.gcd, lcm=lambda *a: 1))
+        with pytest.raises(AssertionError):
+            _decodes_like_cellwise_reference()
+
     def test_strings_and_ints(self):
         # Each row is scaled by the lcm of its denominators: 2, then 4.
         got = parse_matrix([["1/2", 1], ["-3/4", "2"]])
