@@ -108,12 +108,36 @@ def classes(seed: int) -> dict[str, list]:
     return out
 
 
-def sample_ms(rank, matrices: list) -> float:
+def sample_ms(fn, inputs: list) -> float:
     gc.collect()
     start = time.perf_counter()
-    for matrix in matrices:
-        rank(matrix)
-    return (time.perf_counter() - start) * 1e3 / len(matrices)
+    for x in inputs:
+        fn(x)
+    return (time.perf_counter() - start) * 1e3 / len(inputs)
+
+
+def compare(a_src: str, b_src: str, seed: int, fn_a, fn_b, cases: dict[str, list]) -> None:
+    """Print the header and, per class, each tree's median and quartiles of
+    ROUNDS ABBA samples and the ratio B/A, after checking that fn_a and fn_b
+    return the same on every input of the class."""
+    print(f"python {platform.python_version()} on {platform.machine()}, seed {seed}, "
+          f"{ROUNDS} ABBA rounds")
+    print(f"A: {a_src} @ {commit(a_src)}")
+    print(f"B: {b_src} @ {commit(b_src)}")
+    print(f"{'class':<13} {'A median [q1-q3] ms':>26} {'B median [q1-q3] ms':>26} {'B/A':>6}")
+    for name, inputs in cases.items():
+        if list(map(fn_a, inputs)) != list(map(fn_b, inputs)):
+            raise SystemExit(f"{name}: the trees disagree")
+        times = {fn_a: [], fn_b: []}
+        for _ in range(ROUNDS):
+            for fn in (fn_a, fn_b, fn_b, fn_a):
+                times[fn].append(sample_ms(fn, inputs))
+        cols = []
+        for fn in (fn_a, fn_b):
+            q1, median, q3 = statistics.quantiles(times[fn], n=4)
+            cols.append((median, f"{median:.3g} [{q1:.3g}-{q3:.3g}]"))
+        ratio = cols[1][0] / cols[0][0]
+        print(f"{name:<13} {cols[0][1]:>26} {cols[1][1]:>26} {ratio:>6.2f}")
 
 
 def main(argv: list[str]) -> int:
@@ -124,25 +148,7 @@ def main(argv: list[str]) -> int:
     seed = int(argv[2]) if len(argv) == 3 else 1
     rank_a = load_matrix_rank(a_src, "nodalmoduli_a")
     rank_b = load_matrix_rank(b_src, "nodalmoduli_b")
-    print(f"python {platform.python_version()} on {platform.machine()}, seed {seed}, "
-          f"{ROUNDS} ABBA rounds")
-    print(f"A: {a_src} @ {commit(a_src)}")
-    print(f"B: {b_src} @ {commit(b_src)}")
-    print(f"{'class':<13} {'A median [q1-q3] ms':>26} {'B median [q1-q3] ms':>26} {'B/A':>6}")
-    for name, matrices in classes(seed).items():
-        ranks = {rank_a(m) for m in matrices}, {rank_b(m) for m in matrices}
-        if ranks[0] != ranks[1]:
-            raise SystemExit(f"{name}: the trees disagree on the ranks {ranks}")
-        times = {rank_a: [], rank_b: []}
-        for _ in range(ROUNDS):
-            for rank in (rank_a, rank_b, rank_b, rank_a):
-                times[rank].append(sample_ms(rank, matrices))
-        cols = []
-        for rank in (rank_a, rank_b):
-            q1, median, q3 = statistics.quantiles(times[rank], n=4)
-            cols.append((median, f"{median:.3g} [{q1:.3g}-{q3:.3g}]"))
-        ratio = cols[1][0] / cols[0][0]
-        print(f"{name:<13} {cols[0][1]:>26} {cols[1][1]:>26} {ratio:>6.2f}")
+    compare(a_src, b_src, seed, rank_a, rank_b, classes(seed))
     return 0
 
 
