@@ -46,6 +46,27 @@ CASES = {
         0,
         {},
     ),
+    # One column that crosses the diagonal chi = 0 at chi1 = 2: every row is
+    # one cell.
+    "region_one_column_json": (
+        ["region", "--r", "4", "--k", "2", "--chi1=-3:6", "--chi2=2:2"], 0, {}
+    ),
+    "region_one_column_csv": (
+        ["region", "--r", "4", "--k", "2", "--chi1=-3:6", "--chi2=2:2",
+         "--format", "csv"],
+        0,
+        {},
+    ),
+    # Rows nine cells wide, each crossing every cut line of its case.
+    "region_nine_wide_json": (
+        ["region", "--r", "4", "--k", "2", "--chi1=-3:6", "--chi2=-2:6"], 0, {}
+    ),
+    "region_nine_wide_csv": (
+        ["region", "--r", "4", "--k", "2", "--chi1=-3:6", "--chi2=-2:6",
+         "--format", "csv"],
+        0,
+        {},
+    ),
     "region_empty_json": (
         ["region", "--r", "2", "--k", "1", "--chi1", "3:1", "--chi2", "0:1"], 0, {}
     ),
