@@ -191,7 +191,8 @@ def _laid_out(runs, layout, sep: str):
     batch, room = [], REGION_BATCH
     for chi1, first, last, bounds, step in runs:
         if first == last:
-            # The common case in a narrow box, kept free of loops.
+            # Every run of a one-column box, and a run between adjacent
+            # cuts: cheaper laid out directly than through a template.
             batch.append(_cell(layout, chi1, first, bounds, _ratio))
             room -= 1
         else:

@@ -30,9 +30,10 @@ above it, when chi1 > 0 and chi2 > r - min(k, chi1), its upper end open up
 to r; on it, when 0 <= chi1 <= k.  The lower end is open throughout a
 side, or not, by chi1 alone.  So between those lines every cell has the
 same verdict and openness, and a closed endpoint is L/|chi| or U/|chi|
-with L and U fixed.  :func:`region_runs` cuts each row of a box into such
-runs, at most five per row, in three cases: chi1 < 0, 0 <= chi1 <= k (at
-both ends the diagonal repeats a cut, which is skipped) and chi1 > k.
+with L and U fixed.  :func:`region_runs` cuts every row of a box, however
+narrow, into such runs, at most five per row, in three cases: chi1 < 0,
+0 <= chi1 <= k (at both ends the diagonal repeats a cut, which is skipped)
+and chi1 > k.
 """
 
 from __future__ import annotations
@@ -48,12 +49,9 @@ from .rationals import RationalInterval
 # (lo, hi, den, lo_open, hi_open): the w1-interval from lo/den to hi/den.
 Bounds = tuple[int, int, int, bool, bool]
 # (chi1, first, last, bounds, step): the cells (chi1, first..last) of one
-# run; bounds is w1_bounds at chi2 = first, and den moves by step per cell.
+# run; bounds is w1_bounds at chi2 = first, and step, the sign of chi there,
+# is how far den moves per cell.
 Run = tuple[int, int, int, Bounds | None, int]
-
-# Rows of at most this many cells come as one-cell runs: finding the cuts
-# of a row costs about as much as deciding a few cells one by one.
-NARROW_ROW = 8
 
 
 class FeasibilityReport(Record):
@@ -179,23 +177,14 @@ def _row_starts(r: int, k: int, chi1: int) -> tuple[int, ...]:
 def _runs(r: int, k: int, chi1s: range, lo2: int, hi2: int) -> Iterator[Run]:
     for chi1 in chi1s:
         first = lo2
-        for start in (*_row_starts(r, k, chi1), hi2 + 1):
-            if start > first:
-                last = min(start - 1, hi2)
+        for start in _row_starts(r, k, chi1):
+            if first < start <= hi2:
                 chi = chi1 + first - r
-                step = (chi > 0) - (chi < 0) if last > first else 0
-                yield chi1, first, last, w1_bounds(r, k, chi1, first), step
-                if last == hi2:
-                    break
+                bounds = w1_bounds(r, k, chi1, first)
+                yield chi1, first, start - 1, bounds, (chi > 0) - (chi < 0)
                 first = start
-
-
-def _cell_runs(r: int, k: int, chi1s: range, chi2s: range) -> Iterator[Run]:
-    return (
-        (chi1, chi2, chi2, w1_bounds(r, k, chi1, chi2), 0)
-        for chi1 in chi1s
-        for chi2 in chi2s
-    )
+        chi = chi1 + first - r
+        yield chi1, first, hi2, w1_bounds(r, k, chi1, first), (chi > 0) - (chi < 0)
 
 
 def region_runs(
@@ -210,21 +199,16 @@ def region_runs(
     A run (chi1, first, last, bounds, step) covers the cells (chi1, chi2)
     for first <= chi2 <= last, and bounds is w1_bounds(r, k, chi1, first).
     Along a feasible run chi keeps its sign, and only the denominator moves,
-    by step per cell (the sign of chi); an open upper end follows it.  A
-    one-cell run carries step 0.  Runs come chi1-major, chi2 ascending,
-    tiling each row of the box; a row wider than NARROW_ROW cells is cut
-    into at most five, a narrower one into one-cell runs.  r and k are
-    checked before anything is returned, and a box beyond ssize_t is walked
-    lazily.
+    by step per cell, the sign of chi at first; an open upper end follows
+    it.  Runs come chi1-major, chi2 ascending, tiling each row of the box
+    with its maximal runs, at most five.  r and k are checked before
+    anything is returned, and a box beyond ssize_t is walked lazily.
     """
     (lo1, hi1), (lo2, hi2) = chi1_range, chi2_range
     validate_ranks(r, k)
-    chi1s = range(lo1, hi1 + 1)
     if lo2 > hi2:
         return iter(())
-    if hi2 - lo2 < NARROW_ROW:
-        return _cell_runs(r, k, chi1s, range(lo2, hi2 + 1))
-    return _runs(r, k, chi1s, lo2, hi2)
+    return _runs(r, k, range(lo1, hi1 + 1), lo2, hi2)
 
 
 def region_scan(

@@ -61,9 +61,39 @@ BOXES = {
     "below_diagonal": (4, 2, (-6, 6), (-30, -10)),
     "above_diagonal": (4, 2, (-6, 6), (20, 30)),
     "two_wide": (6, 4, (-20, 20), (3, 4)),
-    "narrow_row": (6, 4, (-20, 20), (2, 1 + feasibility.NARROW_ROW)),
-    "just_wider_than_narrow": (6, 4, (-20, 20), (2, 2 + feasibility.NARROW_ROW)),
+    "narrow_row": (6, 4, (-20, 20), (2, 9)),
+    "just_wider_than_narrow": (6, 4, (-20, 20), (2, 10)),
 }
+
+NARROW_WIDTHS = (1, 2, 8)
+
+
+def narrow_boxes(width):
+    """The chi2 ranges width cells wide whose ends fall before, on and after
+    each cut: for r <= 8 every cut lies in 0 <= chi2 <= 9."""
+    return [(lo, lo + width - 1) for lo in range(-width - 1, 12)]
+
+
+def sign(n):
+    return (n > 0) - (n < 0)
+
+
+def shape_faults(r, runs):
+    """The rows of runs that have more than five runs or two neighbours of
+    the same shape: verdict, openness and the sign of chi at the first cell."""
+    for _, row in itertools.groupby(runs, key=lambda run: run[0]):
+        row = list(row)
+        kinds = [
+            (b is None, b and b[3], b and b[4], sign(chi1 + first - r))
+            for chi1, first, _, b, _ in row
+        ]
+        if len(row) > 5 or any(a == b for a, b in zip(kinds, kinds[1:])):
+            yield row
+
+
+def step_faults(r, runs):
+    """The runs whose step is not the sign of chi at their first cell."""
+    return (run for run in runs if run[4] != sign(run[0] + run[1] - r))
 
 
 class TestRunsMatchTheKernel:
@@ -73,9 +103,15 @@ class TestRunsMatchTheKernel:
 
     @pytest.mark.parametrize("r, k", GRID)
     def test_one_column_boxes(self, r, k):
-        # One-cell rows take their own path; every column of the grid.
+        # Every column of the grid, each row a single cell.
         for chi2 in range(SPAN[0], SPAN[1] + 1):
             assert next(mismatches(r, k, SPAN, (chi2, chi2)), None) is None
+
+    @pytest.mark.parametrize("width", [2, 8])
+    def test_narrow_boxes(self, width):
+        # A row that ends on a cut, or just past one, keeps both sides apart.
+        for (r, k), chi2_range in itertools.product(GRID, narrow_boxes(width)):
+            assert next(mismatches(r, k, SPAN, chi2_range), None) is None
 
     @pytest.mark.parametrize("name", BOXES)
     def test_special_boxes(self, name):
@@ -95,22 +131,30 @@ class TestRunsMatchTheKernel:
 class TestRunShape:
     def test_at_most_five_runs_per_row_and_neighbours_differ(self):
         for r, k in GRID:
-            runs = list(region_runs(r, k, SPAN, SPAN))
-            for _, row in itertools.groupby(runs, key=lambda run: run[0]):
-                row = list(row)
-                assert len(row) <= 5, row
-                # Verdict, openness and the sign of chi at the first cell.
-                kinds = [
-                    (b is None, b and b[3], b and b[4], (chi1 + first > r) - (chi1 + first < r))
-                    for chi1, first, _, b, _ in row
-                ]
-                assert all(a != b for a, b in zip(kinds, kinds[1:])), row
+            assert next(shape_faults(r, region_runs(r, k, SPAN, SPAN)), None) is None
 
-    def test_narrow_rows_come_cell_by_cell(self):
-        width = feasibility.NARROW_ROW
-        runs = list(region_runs(6, 4, (-20, 20), (2, 1 + width)))
-        assert len(runs) == 41 * width
-        assert all(first == last and step == 0 for _, first, last, _, step in runs)
+    @pytest.mark.parametrize("name", BOXES)
+    def test_special_boxes_have_maximal_runs(self, name):
+        r = BOXES[name][0]
+        assert next(shape_faults(r, region_runs(*BOXES[name])), None) is None
+
+    @pytest.mark.parametrize("width", NARROW_WIDTHS)
+    def test_narrow_rows_have_maximal_runs(self, width):
+        for (r, k), chi2_range in itertools.product(GRID, narrow_boxes(width)):
+            runs = region_runs(r, k, SPAN, chi2_range)
+            assert next(shape_faults(r, runs), None) is None, (r, k, chi2_range)
+
+    def test_step_is_the_sign_of_chi_at_the_first_cell(self):
+        boxes = [(r, k, SPAN, SPAN) for r, k in GRID]
+        boxes += BOXES.values()
+        boxes += [
+            (r, k, SPAN, chi2_range)
+            for width in NARROW_WIDTHS
+            for (r, k), chi2_range in itertools.product(GRID, narrow_boxes(width))
+        ]
+        for r, k, chi1_range, chi2_range in boxes:
+            runs = region_runs(r, k, chi1_range, chi2_range)
+            assert next(step_faults(r, runs), None) is None, (r, k, chi1_range, chi2_range)
 
     def test_empty_boxes_have_no_runs(self):
         assert list(region_runs(3, 2, (4, 3), (0, 5))) == []
