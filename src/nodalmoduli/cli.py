@@ -47,6 +47,10 @@ _JSON_BOOL = {False: "false", True: "true"}
 # for its digits.  Spaces are \s less \x1c-\x1f, which int() does not strip.
 _INTEGER_RE = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
+# What argparse reads as a value, not an option, such as "-5:+3" and "-1_0":
+# no option here starts with "-" and a digit.
+_NEGATIVE_VALUE_RE = re.compile(r"^-\.?\d")
+
 # Parsed arguments that are not inputs of the command.
 _NOT_ECHOED = frozenset({"subcommand", "handler", "format"})
 
@@ -346,14 +350,21 @@ def _read_sigma(path: str) -> tuple[tuple[int, ...], ...]:
     than the decoder's recursion limit are a ValueError, not a crash; so are
     a byte that is not UTF-8 and an integer cell of more digits than the
     interpreter converts: integers are decoded as text, so parse_ratio
-    refuses such a cell by name."""
-    with open(path, "r", encoding="utf-8") as fh:
+    refuses such a cell by name.  A message names a path whose repr is
+    longer than 40 characters through short_repr."""
+    named = path if len(repr(path)) <= 40 else short_repr(path)
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        # The message OSError writes, with the path quoted short.
+        raise type(exc)(f"[Errno {exc.errno}] {exc.strerror}: {short_repr(path)}") from None
+    with fh:
         try:
             raw = json.load(fh, parse_int=str)
         except RecursionError:
-            raise ValueError(f"{path}: arrays nested too deeply to decode") from None
+            raise ValueError(f"{named}: arrays nested too deeply to decode") from None
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 at byte {exc.start}") from None
+            raise ValueError(f"{named}: not UTF-8 at byte {exc.start}") from None
     if isinstance(raw, list):
         _check_work(len(raw) ** 3, "rank elimination of {} entry updates")
     return parse_matrix(raw)
@@ -447,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi1", type=int_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--chi2", type=int_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    # Let "--chi1 -5:5" parse: argparse treats only plain negative numbers as values.
-    p._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("components", help="moduli components for (g1, g2, r, chi, w)")
@@ -479,6 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
     p.set_defaults(handler=_cmd_mk_test)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_VALUE_RE
     return parser
 
 

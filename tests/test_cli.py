@@ -21,7 +21,7 @@ from nodalmoduli.curves import NodalCurve, Polarization
 from nodalmoduli.feasibility import feasible_interval, region_runs, region_scan
 from nodalmoduli.gluing import GluingDatum, matrix_rank
 from nodalmoduli.moduli import enumerate_components
-from nodalmoduli.rationals import format_rational
+from nodalmoduli.rationals import format_rational, short_repr
 from nodalmoduli.stability import StabilityHypotheses, check_sufficiency
 from test_gluing import _rank_t_core, _scaled_matrix
 from oracles import DEFAULT_DIGIT_LIMIT, needs_default_digit_limit
@@ -120,8 +120,9 @@ class TestGlue:
         # How deep json.load decodes depends on the interpreter, so the
         # decoder is made to give up on this file whatever its limit.
         depth = 10 * sys.getrecursionlimit()
-        path = tmp_path / "deep.json"
-        path.write_text("[" * depth + "]" * depth)
+        monkeypatch.chdir(tmp_path)
+        path = "deep.json"
+        Path(path).write_text("[" * depth + "]" * depth)
 
         def load(fh, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
@@ -136,11 +137,12 @@ class TestGlue:
             "type": "ValueError",
         }
 
-    def test_non_utf8_file_names_its_path_and_byte(self, capsys, tmp_path):
-        path = tmp_path / "latin1.json"
-        path.write_bytes(b'[["\xff"]]')
+    def test_non_utf8_file_names_its_path_and_byte(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = "latin1.json"
+        Path(path).write_bytes(b'[["\xff"]]')
         code, out, _ = run(
-            capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
+            capsys, "glue", "--matrix", path, "--chi1", "0", "--chi2", "0"
         )
         assert code == 1
         assert json.loads(out)["error"] == {
@@ -148,16 +150,40 @@ class TestGlue:
             "type": "ValueError",
         }
 
-    def test_decode_error_names_the_file_offset_past_the_first_chunk(self, capsys, tmp_path):
+    def test_decode_error_names_the_file_offset_past_the_first_chunk(
+        self, capsys, tmp_path, monkeypatch
+    ):
         # 33,000 bytes before the bad byte: more than one read buffer.
         head = b"[" + b'["1", "2"],' * 3000 + b'["'
-        path = tmp_path / "late.json"
-        path.write_bytes(head + b'\xe9"]]')
+        monkeypatch.chdir(tmp_path)
+        path = "late.json"
+        Path(path).write_bytes(head + b'\xe9"]]')
         code, out, _ = run(
-            capsys, "glue", "--matrix", str(path), "--chi1", "0", "--chi2", "0"
+            capsys, "glue", "--matrix", path, "--chi1", "0", "--chi2", "0"
         )
         assert code == 1
         assert json.loads(out)["error"]["message"] == f"{path}: not UTF-8 at byte {len(head)}"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "[Errno 2] No such file or directory: {}"),
+            (b'[["\xff"]]', "{}: not UTF-8 at byte 3"),
+            (b"[" * 10**5 + b"]" * 10**5, "{}: arrays nested too deeply to decode"),
+        ],
+        ids=["missing", "not_utf8", "deep_nesting"],
+    )
+    def test_a_long_path_is_quoted_short(self, capsys, tmp_path, content, message):
+        # Each message names a path longer than 40 characters by its first
+        # 40 and its length; the glue_* golden cases pin short paths whole.
+        path = str(tmp_path / ("d" * 200) / ("m" * 200 + ".json"))
+        if content is not None:
+            Path(path).parent.mkdir()
+            Path(path).write_bytes(content)
+        code, out, _ = run(capsys, "glue", "--matrix", path, "--chi1", "0", "--chi2", "0")
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == message.format(short_repr(path))
+        assert len(out) < 200
 
     def test_zero_matrix_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -253,6 +279,25 @@ class TestRegion:
         )
         assert code == 2
         assert "--chi1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dims", "--g1", "2", "--g2", "3", "--r", "-1_0"], 1),
+        (["components", "--g1", "2", "--g2", "3", "--r", "3", "--chi", "5",
+          "--w1", "-2/7"], 1),
+        (["mk-test", "--sub-d", "-1_0", "--sub-rk", "1", "--amb-d", "3", "--amb-rk", "2",
+          "--m", "0", "--k", "1"], 0),
+    ],
+    ids=["dims", "components", "mk-test"],
+)
+def test_every_command_reads_a_negative_value(capsys, argv, code):
+    # "-1_0" and "-2/7" are values, not options: a command answers, or
+    # refuses them as a domain error, never as a missing argument (exit 2).
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert json.loads(out)
 
 
 def whole_box_output(r, k, chi1_range, chi2_range, fmt):

@@ -28,6 +28,10 @@ CASES = {
     "feasible_negative_chi": (
         ["feasible", "--r", "3", "--k", "2", "--chi1", "-1", "--chi2", "-2"], 0, {}
     ),
+    # A negative value written with underscores: a value, not an option.
+    "feasible_underscored_negative": (
+        ["feasible", "--r", "3", "--k", "2", "--chi1", "-1_0", "--chi2", "2"], 0, {}
+    ),
     "feasible_infeasible": (
         ["feasible", "--r", "2", "--k", "1", "--chi1", "2", "--chi2", "1"], 0, {}
     ),
@@ -63,6 +67,13 @@ CASES = {
     ),
     "region_nine_wide_csv": (
         ["region", "--r", "4", "--k", "2", "--chi1=-3:6", "--chi2=-2:6",
+         "--format", "csv"],
+        0,
+        {},
+    ),
+    # A range from a negative bound to a signed one, as its own argument.
+    "region_signed_negative_range": (
+        ["region", "--r", "2", "--k", "1", "--chi1", "-5:+3", "--chi2", "0:1",
          "--format", "csv"],
         0,
         {},
@@ -190,6 +201,11 @@ CASES = {
     ),
     "glue_missing_file": (
         ["glue", "--matrix", "missing.json", "--chi1", "0", "--chi2", "0"], 1, {}
+    ),
+    # A 5,000-character path: the OS refuses it, and the message quotes its
+    # first 40 characters.
+    "glue_long_path": (
+        ["glue", "--matrix", "a" * 5000, "--chi1", "0", "--chi2", "0"], 1, {}
     ),
     "glue_unreduced_cells": (
         ["glue", "--matrix", "unreduced_cells.json", "--chi1", "2", "--chi2", "-1"], 0, {}
@@ -386,7 +402,7 @@ def test_golden_output(name, capsys, monkeypatch):
 
 
 # Inputs a case names on purpose without the file existing.
-ABSENT_INPUTS = {"missing.json"}
+ABSENT_INPUTS = {"missing.json", "a" * 5000}
 
 
 def test_corpus_has_no_orphan_or_missing_files():
