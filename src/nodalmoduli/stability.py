@@ -16,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .curves import NodalCurve, Polarization, chi_to_degree, mk_slope, polarized_slope
+from .curves import NodalCurve, Polarization, chi_to_degree, mk_slope
 from .feasibility import violated_conditions
-from .gluing import GluingDatum, glued_class
+from .gluing import GluingDatum
 
 
 class NecessaryConditionError(ValueError):
@@ -140,7 +140,8 @@ def check_sufficiency(
         raise NecessaryConditionError(
             f"polarization violates compatibility: {violated[0]}", violated
         )
-    ambient = polarized_slope(glued_class(datum)[0], w)
+    # The glued sheaf has rank (r, r) and w1 + w2 = 1, so its slope is chi/r.
+    ambient = Fraction(datum.chi, h.r)
     for s in range(0, h.k + 1):
         for s1 in range(s, h.r + 1):
             for s2 in range(s, h.r + 1):
