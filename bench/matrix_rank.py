@@ -12,7 +12,11 @@ name, so both run in one process on the same matrices.  The classes are:
 - ``dense<n>-<d>d``: dense random rationals p/q with d-digit p and q, as
   ``Fraction`` entries;
 - ``shared30-16``: small integers whose rows carry one of two factors of
-  about 10**30.
+  about 10**30;
+- ``growth-n48``: 1 on the diagonal, -1 below it and 1 in the last column,
+  and its negative: every pivot is +-1, but the last column doubles at
+  each step, so its entries outgrow the packed slot partway through and
+  the rows fall back to lists.
 
 For each class the trees run in the order A B B A, ROUNDS times; one sample
 is the time of one pass over the class's matrices, divided by their number.
@@ -104,6 +108,11 @@ def classes(seed: int) -> dict[str, list]:
     out["shared30-16"] = [
         [[f * rng.randint(-5, 5) for _ in range(16)] for f in rng.choices(shared, k=16)]
         for _ in range(3)
+    ]
+    out["growth-n48"] = [
+        [[sign * (1 if j in (i, 47) else -1 if j < i else 0) for j in range(48)]
+         for i in range(48)]
+        for sign in (1, -1)
     ]
     return out
 

@@ -12,6 +12,7 @@ import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 
 from ._record import Record
 from .curves import SheafClass
@@ -54,16 +55,20 @@ class GluingDatum(Record):
     ) -> None:
         validate_ranks(r)
         if sigma is not None:
-            # Rows that are already tuples of ints (parse_matrix's) are kept.
-            sigma = tuple(
-                row
-                if type(row) is tuple and _ints(row)
-                else tuple(exact(x, "matrix entries") for x in row)
-                for row in sigma
-            )
+            # Rows that are already tuples of ints (parse_matrix's) are kept,
+            # and the rank eliminates them without checking them again.
+            kept, rows = [], []
+            for row in sigma:
+                if type(row) is tuple and _ints(row):
+                    rows.append(row)
+                else:
+                    row = tuple([exact(x, "matrix entries") for x in row])
+                    rows.append(_int_row(row))
+                kept.append(row)
+            sigma = tuple(kept)
             if len(sigma) != r or any(len(row) != r for row in sigma):
                 raise ValueError(f"sigma must be a {r}x{r} matrix")
-            rank = matrix_rank(sigma)
+            rank = _rank(rows)
             if k is None:
                 k = rank
             elif k != rank:
@@ -111,54 +116,168 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     rank are those of Gaussian elimination.  An entry is at most the scalar
     its row got at its last primitive step times a Gaussian entry.  Requires
     a square matrix, which is left unchanged.
+
+    Rows are stored packed where that is exact (Kronecker substitution).
+    Let b be the bit length of the largest entry after the content pass
+    plus 8, B = 2**b, and w = b + 1 + G with G = 8 guard bits.  A row whose
+    entries e_j all lie in [-B, B) may be held as the one int
+    x = sum(e_j * 2**(w*j)).  Its lead is the low slot x & (2**w - 1),
+    less 2**w when at least 2**(w-1); dropping that column is
+    (x - lead) >> w.  Every row starts as a list.  A unit step (m = 1) of a
+    packed row with |f| < 2**G against a packed pivot tail is one big-int
+    multiply-subtract, u = t - f*p, kept when (u + OFF) & HIGH == 0, where
+    OFF is B in every slot and HIGH is bits b+1 .. w-1 of every slot.  The
+    pivot tail p is packed from a packed pivot row, or, once some row is
+    packed, from a list pivot whose tail lies in [-B, B]; a negated pivot
+    may hold B itself.
+
+    The check is exact.  By linearity u = sum(u_j * 2**(w*j)) with
+    u_j = t_j - f*p_j, and |u_j| <= B + (2**G - 1)*B = 2**(w-1).  Let
+    c_j = u_j + B, so u + OFF = sum(c_j * 2**(w*j)) (OFF's slots past u's
+    add B each).  If every u_j is in [-B, B), every c_j is in [0, 2B), so
+    these are the base-2**w digits of u + OFF and no HIGH bit is set.
+    Otherwise let j be the lowest slot with c_j outside [0, 2B).  The slots
+    below it are digits without a carry, so slot j of u + OFF holds
+    c_j mod 2**w: c_j itself when 2B <= c_j <= B + 2**(w-1) < 2**w, a bit
+    b+1 .. w-1 being set; and c_j + 2**w >= 2**(w-1) + B when
+    B - 2**(w-1) <= c_j < 0, bit w-1 being set.  So the check passes
+    exactly when every entry of u is in [-B, B), and then u is a faithful
+    packed row.  Every other update (m != 1, a wide f, a failed check, a
+    pivot tail outside [-B, B]) unpacks what it needs and takes the list
+    update above unchanged; a unit step's list result that lies in [-B, B)
+    is packed again.  Only the storage differs: the rows, pivots and rank
+    are those of the list updates alone.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("matrix must be nonempty")
-    rows: list[Sequence[int]] = []
+    rows: list = []
     for row in matrix:
         if len(row) != n:
             raise ValueError(
                 f"matrix must be square, got a row of length {len(row)} with {n} rows"
             )
-        if _ints(row):
-            rows.append(row)
-            continue
-        entries = [exact(x, "matrix entries") for x in row]
-        scale = math.lcm(*(e.denominator for e in entries))
-        rows.append([e.numerator * (scale // e.denominator) for e in entries])
+        rows.append(row if _ints(row) else _int_row([exact(x, "matrix entries") for x in row]))
+    return _rank(rows)
 
+
+def _int_row(entries: Sequence[Fraction | int]) -> list[int]:
+    """Exact entries times the lcm of their denominators, as ints."""
+    scale = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (scale // e.denominator) for e in entries]
+
+
+# Bits a packed row's entries may grow by past the largest entry after the
+# content pass, and G, the guard bits above them in each slot: a packed unit
+# step takes |f| < 2**G.
+_HEADROOM = 8
+_GUARD = 8
+
+
+def _rank(rows: list) -> int:
+    """matrix_rank of a nonempty square matrix of int rows.  The list is
+    the kernel's own: it is eliminated in place, so no caller keeps the
+    rows of an earlier step alive."""
+    n = cols = len(rows[0])
     contents = [math.gcd(*column) or 1 for column in zip(*rows)]
-    rows = [[a // g for a, g in zip(row, contents)] for row in rows]
-    rows = [_primitive(row) for row in rows if any(row)]
+    rows[:] = [[a // g for a, g in zip(row, contents)] for row in rows]
+    rows[:] = [_primitive(row) for row in rows if any(row)]
+
+    bits = max(map(abs, chain.from_iterable(rows)), default=0).bit_length() + _HEADROOM
+    w = bits + 1 + _GUARD
+    bound = 1 << bits
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    wide = 1 << _GUARD
+    off = high = None  # set when the first row is packed
 
     rank = 0
     while rows:
-        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        cols -= 1
+        pivot = next(
+            (i for i, row in enumerate(rows) if (row & mask if type(row) is int else row[0])),
+            None,
+        )
         if pivot is None:
-            rows = [row[1:] for row in rows]
+            rows[:] = [row >> w if type(row) is int else row[1:] for row in rows]
             continue
         pivot_row = rows.pop(pivot)
-        lead = pivot_row[0]
-        pivot_tail = pivot_row[1:]
-        if lead < 0:
-            lead = -lead
-            pivot_tail = [-b for b in pivot_tail]
+        if type(pivot_row) is int:
+            lead = pivot_row & mask
+            if lead >= half:
+                lead -= mask + 1
+            packed_tail = (pivot_row - lead) >> w
+            pivot_tail = None  # unpacked when a list update needs it
+            if lead < 0:
+                lead, packed_tail = -lead, -packed_tail
+        else:
+            lead, pivot_tail = pivot_row[0], pivot_row[1:]
+            if lead < 0:
+                lead, pivot_tail = -lead, [-b for b in pivot_tail]
+            packed_tail = None
+            if off is not None and (
+                -bound <= min(pivot_tail, default=0) and max(pivot_tail, default=0) <= bound
+            ):
+                packed_tail = _pack(pivot_tail, w)
         # In place, so each old row is freed as soon as its update is built.
         for i, row in enumerate(rows):
-            factor = row[0]
-            if factor:
+            if type(row) is int:
+                factor = row & mask
+                if not factor:
+                    rows[i] = row >> w
+                    continue
+                if factor >= half:
+                    factor -= mask + 1
                 g = math.gcd(lead, factor)
                 m, f = lead // g, factor // g
-                if m == 1:  # a unit step keeps the row's scalar: no content gcd
-                    rows[i] = [a - f * b for a, b in zip(row[1:], pivot_tail)]
-                else:
-                    rows[i] = _primitive([m * a - f * b for a, b in zip(row[1:], pivot_tail)])
+                tail = (row - factor) >> w
+                if m == 1 and -wide < f < wide and packed_tail is not None:
+                    u = tail - f * packed_tail
+                    if not (u + off) & high:
+                        rows[i] = u
+                        continue
+                tail = _unpack(tail + off, cols, w, bound)
             else:
-                rows[i] = row[1:]
-        rows = list(filter(any, rows))
+                factor = row[0]
+                if not factor:
+                    rows[i] = row[1:]
+                    continue
+                g = math.gcd(lead, factor)
+                m, f = lead // g, factor // g
+                tail = row[1:]
+            if pivot_tail is None:
+                pivot_tail = _unpack(packed_tail + off, cols, w, bound)
+            if m == 1:  # a unit step keeps the row's scalar: no content gcd
+                new = [a - f * b for a, b in zip(tail, pivot_tail)]
+            else:
+                new = _primitive([m * a - f * b for a, b in zip(tail, pivot_tail)])
+            if not any(new):
+                new = 0  # the zero row, packed, which the filter below drops
+            elif m == 1 and -bound <= min(new) and max(new) < bound:
+                if off is None:
+                    ones = ((1 << w * n) - 1) // mask
+                    off, high = bound * ones, (mask + 1 - 2 * bound) * ones
+                new = _pack(new, w)
+            rows[i] = new
+        # Only updates make a row zero, and a zero row is then the int 0.
+        rows[:] = filter(None, rows)
         rank += 1
     return rank
+
+
+def _pack(row: list[int], w: int) -> int:
+    """The row as sum(row[j] * 2**(w*j))."""
+    x = 0
+    for e in reversed(row):
+        x = (x << w) + e
+    return x
+
+
+def _unpack(y: int, count: int, w: int, bound: int) -> list[int]:
+    """The first count entries of a packed row whose entries lie in
+    [-bound, bound], given the row plus bound in every slot."""
+    mask = (1 << w) - 1
+    return [(y >> s & mask) - bound for s in range(0, w * count, w)]
 
 
 def _ints(row: Sequence) -> bool:

@@ -13,7 +13,9 @@ chi*w1 <= chi1 <= chi*w1 + k, which the library computes in integers in
 The skip mark ``needs_default_digit_limit`` and its condition
 ``DEFAULT_DIGIT_LIMIT`` are shared here as well, and so is
 ``cellwise_parse_matrix``, the cell-by-cell matrix decode that
-``gluing.parse_matrix``'s whole-row decode is checked against.
+``gluing.parse_matrix``'s whole-row decode is checked against, and
+``list_matrix_rank``, the elimination on lists of ints that
+``gluing.matrix_rank``'s packed rows are checked against.
 """
 
 import math
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from nodalmoduli.rationals import RationalInterval, short_repr
+from nodalmoduli.rationals import RationalInterval, exact, short_repr
 
 # The digit-limit cases pin what the interpreter's default limit of 4,300
 # digits on int() of a string refuses.  Python 3.10.0-3.10.6 have no limit,
@@ -257,3 +259,86 @@ def cellwise_parse_matrix(data) -> tuple[tuple[int, ...], ...]:
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows must all have the same length")
     return tuple(rows)
+
+
+def list_matrix_rank(matrix) -> int:
+    """Reference for ``gluing.matrix_rank``: the same elimination with every
+    row a list of ints, as the kernel was before it packed rows.
+
+    Rank over the rationals by fraction-free elimination on primitive rows.
+
+    Each entry is converted once (ints and Fractions as they are, floats
+    refused), and each row that is not all ints is scaled by the lcm of its
+    denominators to integers.  Each column and then each row is divided by
+    the gcd of its entries; nonzero scaling does not change the rank.  The
+    pivot is the first nonzero entry of the column among the rows not yet
+    used, its row negated when that entry is negative.  A row with factor f
+    in the pivot column, against the pivot's lead m (both divided by their
+    gcd), becomes m*tail - f*pivot_tail; when m is 1 that is the whole
+    update, and otherwise the row is then divided by the gcd of its entries.
+    A row with a zero factor just drops that entry.  Rows that become zero
+    are dropped.  This is exact: a row c*G, for G the Gaussian elimination
+    row and c a nonzero scalar, becomes m*c*G', so a unit step keeps c and
+    any other step makes the row primitive again; zero patterns, pivots and
+    rank are those of Gaussian elimination.  An entry is at most the scalar
+    its row got at its last primitive step times a Gaussian entry.  Requires
+    a square matrix, which is left unchanged.
+    """
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("matrix must be nonempty")
+    rows = []
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError(
+                f"matrix must be square, got a row of length {len(row)} with {n} rows"
+            )
+        if _ints(row):
+            rows.append(row)
+            continue
+        entries = [exact(x, "matrix entries") for x in row]
+        scale = math.lcm(*(e.denominator for e in entries))
+        rows.append([e.numerator * (scale // e.denominator) for e in entries])
+
+    contents = [math.gcd(*column) or 1 for column in zip(*rows)]
+    rows = [[a // g for a, g in zip(row, contents)] for row in rows]
+    rows = [_primitive(row) for row in rows if any(row)]
+
+    rank = 0
+    while rows:
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot_row = rows.pop(pivot)
+        lead = pivot_row[0]
+        pivot_tail = pivot_row[1:]
+        if lead < 0:
+            lead = -lead
+            pivot_tail = [-b for b in pivot_tail]
+        # In place, so each old row is freed as soon as its update is built.
+        for i, row in enumerate(rows):
+            factor = row[0]
+            if factor:
+                g = math.gcd(lead, factor)
+                m, f = lead // g, factor // g
+                if m == 1:  # a unit step keeps the row's scalar: no content gcd
+                    rows[i] = [a - f * b for a, b in zip(row[1:], pivot_tail)]
+                else:
+                    rows[i] = _primitive([m * a - f * b for a, b in zip(row[1:], pivot_tail)])
+            else:
+                rows[i] = row[1:]
+        rows = list(filter(any, rows))
+        rank += 1
+    return rank
+
+
+def _ints(row) -> bool:
+    """Whether every entry of the nonempty row is exactly an int."""
+    return {*map(type, row)} == {int}
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries; an all-zero row as it is."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
