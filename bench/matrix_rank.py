@@ -19,10 +19,12 @@ name, so both run in one process on the same matrices.  The classes are:
   the rows fall back to lists.
 
 For each class the trees run in the order A B B A, ROUNDS times; one sample
-is the time of one pass over the class's matrices, divided by their number.
-The script prints, per class, each tree's median and quartiles in ms per
-matrix and the ratio of the medians B/A, after the Python version and both
-commits.  It needs only the standard library.
+is the time of one pass over the class's matrices, divided by their number,
+and each B sample is paired with the A sample next to it.  The script
+prints, per class, each tree's median and quartiles in ms per matrix, the
+ratio of the medians B/A and how many of the 2 * ROUNDS pairs B won (ran
+faster in), after the Python version and both commits.  It needs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -127,13 +129,14 @@ def sample_ms(fn, inputs: list) -> float:
 
 def compare(a_src: str, b_src: str, seed: int, fn_a, fn_b, cases: dict[str, list]) -> None:
     """Print the header and, per class, each tree's median and quartiles of
-    ROUNDS ABBA samples and the ratio B/A, after checking that fn_a and fn_b
-    return the same on every input of the class."""
+    ROUNDS ABBA samples, the ratio B/A and the pairs B won, after checking
+    that fn_a and fn_b return the same on every input of the class."""
     print(f"python {platform.python_version()} on {platform.machine()}, seed {seed}, "
           f"{ROUNDS} ABBA rounds")
     print(f"A: {a_src} @ {commit(a_src)}")
     print(f"B: {b_src} @ {commit(b_src)}")
-    print(f"{'class':<13} {'A median [q1-q3] ms':>26} {'B median [q1-q3] ms':>26} {'B/A':>6}")
+    print(f"{'class':<13} {'A median [q1-q3] ms':>26} {'B median [q1-q3] ms':>26} {'B/A':>6}"
+          f" {'B won':>6}")
     for name, inputs in cases.items():
         if list(map(fn_a, inputs)) != list(map(fn_b, inputs)):
             raise SystemExit(f"{name}: the trees disagree")
@@ -146,7 +149,10 @@ def compare(a_src: str, b_src: str, seed: int, fn_a, fn_b, cases: dict[str, list
             q1, median, q3 = statistics.quantiles(times[fn], n=4)
             cols.append((median, f"{median:.3g} [{q1:.3g}-{q3:.3g}]"))
         ratio = cols[1][0] / cols[0][0]
-        print(f"{name:<13} {cols[0][1]:>26} {cols[1][1]:>26} {ratio:>6.2f}")
+        # Sample i of each tree comes from the same half of one ABBA round.
+        won = sum(b < a for a, b in zip(times[fn_a], times[fn_b]))
+        print(f"{name:<13} {cols[0][1]:>26} {cols[1][1]:>26} {ratio:>6.2f}"
+              f" {f'{won}/{2 * ROUNDS}':>6}")
 
 
 def main(argv: list[str]) -> int:

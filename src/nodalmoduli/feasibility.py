@@ -158,7 +158,8 @@ def feasible_interval(r: int, k: int, chi1: int, chi2: int) -> FeasibilityReport
 
 def in_region(r: int, k: int, chi1: int, chi2: int) -> bool:
     """Whether (chi1, chi2) admits a compatible polarization for this k."""
-    return feasible_interval(r, k, chi1, chi2).feasible
+    validate_ranks(r, k)
+    return w1_bounds(r, k, chi1, chi2) is not None
 
 
 def _row_starts(r: int, k: int, chi1: int) -> tuple[int, ...]:

@@ -123,13 +123,13 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     entries e_j all lie in [-B, B) may be held as the one int
     x = sum(e_j * 2**(w*j)).  Its lead is the low slot x & (2**w - 1),
     less 2**w when at least 2**(w-1); dropping that column is
-    (x - lead) >> w.  Every row starts as a list.  A unit step (m = 1) of a
+    (x - lead) >> w.  Every row starts packed, since its entries are below
+    B / 2**8; storage only moves packed -> list.  A unit step (m = 1) of a
     packed row with |f| < 2**G against a packed pivot tail is one big-int
     multiply-subtract, u = t - f*p, kept when (u + OFF) & HIGH == 0, where
     OFF is B in every slot and HIGH is bits b+1 .. w-1 of every slot.  The
-    pivot tail p is packed from a packed pivot row, or, once some row is
-    packed, from a list pivot whose tail lies in [-B, B]; a negated pivot
-    may hold B itself.
+    pivot tail p is packed from a packed pivot row, or from a list pivot
+    whose tail lies in [-B, B]; a negated pivot may hold B itself.
 
     The check is exact.  By linearity u = sum(u_j * 2**(w*j)) with
     u_j = t_j - f*p_j, and |u_j| <= B + (2**G - 1)*B = 2**(w-1).  Let
@@ -144,9 +144,8 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     exactly when every entry of u is in [-B, B), and then u is a faithful
     packed row.  Every other update (m != 1, a wide f, a failed check, a
     pivot tail outside [-B, B]) unpacks what it needs and takes the list
-    update above unchanged; a unit step's list result that lies in [-B, B)
-    is packed again.  Only the storage differs: the rows, pivots and rank
-    are those of the list updates alone.
+    update above unchanged, and the row stays a list.  Only the storage
+    differs: the rows, pivots and rank are those of the list updates alone.
     """
     n = len(matrix)
     if n == 0:
@@ -189,7 +188,11 @@ def _rank(rows: list) -> int:
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     wide = 1 << _GUARD
-    off = high = None  # set when the first row is packed
+    ones = ((1 << w * n) - 1) // mask
+    off, high = bound * ones, (mask + 1 - 2 * bound) * ones
+    # Every entry is below B / 2**8, so every row fits; a row that takes a
+    # list update stays a list.
+    rows[:] = [_pack(row, w) for row in rows]
 
     rank = 0
     while rows:
@@ -215,9 +218,7 @@ def _rank(rows: list) -> int:
             if lead < 0:
                 lead, pivot_tail = -lead, [-b for b in pivot_tail]
             packed_tail = None
-            if off is not None and (
-                -bound <= min(pivot_tail, default=0) and max(pivot_tail, default=0) <= bound
-            ):
+            if -bound <= min(pivot_tail, default=0) and max(pivot_tail, default=0) <= bound:
                 packed_tail = _pack(pivot_tail, w)
         # In place, so each old row is freed as soon as its update is built.
         for i, row in enumerate(rows):
@@ -251,14 +252,7 @@ def _rank(rows: list) -> int:
                 new = [a - f * b for a, b in zip(tail, pivot_tail)]
             else:
                 new = _primitive([m * a - f * b for a, b in zip(tail, pivot_tail)])
-            if not any(new):
-                new = 0  # the zero row, packed, which the filter below drops
-            elif m == 1 and -bound <= min(new) and max(new) < bound:
-                if off is None:
-                    ones = ((1 << w * n) - 1) // mask
-                    off, high = bound * ones, (mask + 1 - 2 * bound) * ones
-                new = _pack(new, w)
-            rows[i] = new
+            rows[i] = new if any(new) else 0
         # Only updates make a row zero, and a zero row is then the int 0.
         rows[:] = filter(None, rows)
         rank += 1

@@ -11,15 +11,7 @@ from test_cli import src_env
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "feasible_region_map",
-        "glue_and_inspect",
-        "moduli_dimensions",
-        "semistability_sweep",
-    ],
-)
+@pytest.mark.parametrize("name", [path.stem for path in sorted(DEMOS.glob("*.py"))])
 def test_demo_runs(name):
     proc = subprocess.run(
         [sys.executable, str(DEMOS / f"{name}.py")],

@@ -164,6 +164,21 @@ class TestInRegion:
                             u = GluingDatum(r, k, chi1, chi2)
                             assert violated_conditions(u, report.sample) == []
 
+    def test_matches_feasible_interval_with_its_refusals(self):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        for r in (1, 2, 3, 4):
+            for k in range(r + 2):
+                for chi1 in range(-4, 5):
+                    for chi2 in range(-4, 5):
+                        want = outcome(feasible_interval, r, k, chi1, chi2)
+                        want = want if isinstance(want, str) else want.feasible
+                        assert outcome(in_region, r, k, chi1, chi2) == want
+
     def test_monotone_in_k(self):
         for r in (2, 3, 4):
             for k in range(1, r):

@@ -3,8 +3,10 @@
 ``oracles.list_matrix_rank`` is the kernel as it was before rows were
 packed.  The differential test runs both on generated matrices and traces
 ``gluing._rank`` line by line, so it can count how often each storage path
-was taken; every path must be reached.  Mutants of the kernel are built
-from its source text, in a module of their own, for the negative controls.
+was taken; every path must be reached.  Storage moves one way, packed to
+list, which a count of ``gluing._pack`` calls checks.  Mutants of the
+kernel are built from its source text, in a module of their own, for the
+negative controls.
 """
 
 import random
@@ -233,9 +235,9 @@ def test_negative_control_broken_packed_kernel_disagrees(edits):
     assert _first_disagreement(_mutant(*edits)) is not None
 
 
-# The packed-path guard: on cores whose Gaussian pivots are all +-1, every
-# row takes at most one list update, the one that packs it, so a kernel
-# that quietly stays on lists fails here although its ranks are right.
+# The packed-path guard: on cores whose Gaussian pivots are all +-1, rows
+# start packed and take at most n list updates in all, so a kernel that
+# quietly stays on lists fails here although its ranks are right.
 GUARD_CASES = [
     (_rank_t_core(random.Random(40 + n), n, t, (-1, 1)), t)
     for n in (12, 64)
@@ -253,9 +255,44 @@ def test_unit_cores_stay_packed(matrix, rank):
 
 
 def test_negative_control_list_only_kernel_breaks_the_guard():
-    old = "elif m == 1 and -bound <= min(new) and max(new) < bound:"
-    module = _mutant((old, old.replace("elif ", "elif False and ")))
+    module = _mutant(("rows[:] = [_pack(row, w) for row in rows]", "pass"))
     matrix, rank = GUARD_CASES[-1]
     got, counts = _traced_rank(module, matrix)
     assert got == rank
     assert counts["list update"] > len(matrix)
+
+
+def _over_one_way(module, monkeypatch) -> list[str]:
+    """The CASES on which module._rank packs more than n + (pivot steps)
+    times: once per row after the content pass and at most once per list
+    pivot's tail, which a kernel that never packs a row again keeps to."""
+    calls = [0]
+    pack = module._pack
+
+    def counted(row, w):
+        calls[0] += 1
+        return pack(row, w)
+
+    monkeypatch.setattr(module, "_pack", counted)
+    over = []
+    for name, matrix in CASES:
+        calls[0] = 0
+        rank = module.matrix_rank(matrix)  # one pivot step per unit of rank
+        if calls[0] > len(matrix) + rank:
+            over.append(name)
+    return over
+
+
+def test_rows_are_packed_once(monkeypatch):
+    assert _over_one_way(gluing, monkeypatch) == []
+
+
+def test_negative_control_repacking_kernel_breaks_the_one_way_guard(monkeypatch):
+    # A kernel that packs a unit step's list result again when it fits.
+    module = _mutant((
+        "rows[i] = new if any(new) else 0",
+        "if not any(new): new = 0\n"
+        "            elif m == 1 and -bound <= min(new) and max(new) < bound: new = _pack(new, w)\n"
+        "            rows[i] = new",
+    ))
+    assert _over_one_way(module, monkeypatch) != []
