@@ -102,50 +102,49 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
 
     Each entry is converted once (ints and Fractions as they are, floats
     refused), and each row that is not all ints is scaled by the lcm of its
-    denominators to integers.  Each column and then each row is divided by
-    the gcd of its entries; nonzero scaling does not change the rank.  The
-    pivot is the first nonzero entry of the column among the rows not yet
-    used, its row negated when that entry is negative.  A row with factor f
-    in the pivot column, against the pivot's lead m (both divided by their
-    gcd), becomes m*tail - f*pivot_tail; when m is 1 that is the whole
-    update, and otherwise the row is then divided by the gcd of its entries.
-    A row with a zero factor just drops that entry.  Rows that become zero
-    are dropped.  This is exact: a row c*G, for G the Gaussian elimination
-    row and c a nonzero scalar, becomes m*c*G', so a unit step keeps c and
-    any other step makes the row primitive again; zero patterns, pivots and
+    denominators to integers.  Each row is divided by the gcd of its
+    entries; nonzero scaling does not change the rank.  The pivot is the
+    first nonzero entry of the column among the rows not yet used, its row
+    negated when that entry is negative.  A row with factor f in the pivot
+    column, against the pivot's lead m (both divided by their gcd), becomes
+    m*tail - f*pivot_tail; when m is 1 that is the whole update, and
+    otherwise the row is then divided by the gcd of its entries.  A row
+    with a zero factor just drops that entry.  Rows that become zero are
+    dropped.  This is exact: a row c*G, for G the Gaussian elimination row
+    and c a nonzero scalar, becomes m*c*G', so a unit step keeps c and any
+    other step makes the row primitive again; zero patterns, pivots and
     rank are those of Gaussian elimination.  An entry is at most the scalar
-    its row got at its last primitive step times a Gaussian entry.  Requires
-    a square matrix, which is left unchanged.
+    its row got at its last primitive step times a Gaussian entry.
+    Requires a square matrix, which is left unchanged.
 
     Rows are stored packed where that is exact (Kronecker substitution).
-    Let b be the bit length of the largest entry after the content pass
-    plus 8, B = 2**b, and w = b + 1 + G with G = 8 guard bits.  A row whose
-    entries e_j all lie in [-B, B) may be held as the one int
-    x = sum(e_j * 2**(w*j)).  Its lead is the low slot x & (2**w - 1),
-    less 2**w when at least 2**(w-1); dropping that column is
-    (x - lead) >> w.  Every row starts packed, since its entries are below
-    B / 2**8; storage only moves packed -> list.  A unit step (m = 1) of a
-    packed row with |f| < 2**G against a packed pivot tail is one big-int
-    multiply-subtract, u = t - f*p, kept when (u + OFF) & HIGH == 0, where
-    OFF is B in every slot and HIGH is bits b+1 .. w-1 of every slot.  The
-    pivot tail p is packed from a packed pivot row, or from a list pivot
-    whose tail lies in [-B, B]; a negated pivot may hold B itself.
+    Let b be the bit length of the largest entry of the primitive rows plus
+    8, B = 2**b, and w = b + 1 + G with G = 8 guard bits.  A row whose
+    entries e_j all lie in [-B, B) may be stored as the one int
+    y = sum((e_j + B) * 2**(w*j)): its base-2**w digits are the entries
+    offset by B, in [0, 2B).  Its lead is (y & (2**w - 1)) - B, dropping
+    that column is y >> w, and it is the zero row when y is OFF, B in every
+    slot.  Every row starts packed, since its entries are below B / 2**8;
+    storage only moves packed -> list.  A unit step (m = 1) of a packed row
+    with |f| < 2**G against a packed pivot tail p = sum(p_j * 2**(w*j)) is
+    one big-int multiply-subtract on the stored tail t, u = t - f*p, kept
+    when u & HIGH == 0, where HIGH is bits b+1 .. w-1 of every slot.  p is
+    read off a packed pivot row, or packed from a list pivot whose tail
+    lies in [-B, B]; a negated pivot may hold B itself.
 
-    The check is exact.  By linearity u = sum(u_j * 2**(w*j)) with
-    u_j = t_j - f*p_j, and |u_j| <= B + (2**G - 1)*B = 2**(w-1).  Let
-    c_j = u_j + B, so u + OFF = sum(c_j * 2**(w*j)) (OFF's slots past u's
-    add B each).  If every u_j is in [-B, B), every c_j is in [0, 2B), so
-    these are the base-2**w digits of u + OFF and no HIGH bit is set.
-    Otherwise let j be the lowest slot with c_j outside [0, 2B).  The slots
-    below it are digits without a carry, so slot j of u + OFF holds
-    c_j mod 2**w: c_j itself when 2B <= c_j <= B + 2**(w-1) < 2**w, a bit
-    b+1 .. w-1 being set; and c_j + 2**w >= 2**(w-1) + B when
-    B - 2**(w-1) <= c_j < 0, bit w-1 being set.  So the check passes
-    exactly when every entry of u is in [-B, B), and then u is a faithful
-    packed row.  Every other update (m != 1, a wide f, a failed check, a
-    pivot tail outside [-B, B]) unpacks what it needs and takes the list
-    update above unchanged, and the row stays a list.  Only the storage
-    differs: the rows, pivots and rank are those of the list updates alone.
+    The check is exact.  By linearity u = sum(c_j * 2**(w*j)) with
+    c_j = t_j - f*p_j + B, and |c_j - B| <= B + (2**G - 1)*B = 2**(w-1).
+    If every c_j is in [0, 2B), these are the digits of u and no HIGH bit
+    is set.  Otherwise let j be the lowest slot with c_j outside [0, 2B).
+    The slots below it are digits, so slot j of u holds c_j mod 2**w: c_j
+    itself when 2B <= c_j <= B + 2**(w-1) < 2**w, a bit b+1 .. w-1 being
+    set; and c_j + 2**w >= 2**(w-1) + B when B - 2**(w-1) <= c_j < 0, bit
+    w-1 being set.  So the check passes exactly when every entry of u is in
+    [-B, B), and then u is the stored row.  Every other update (m != 1, a
+    wide f, a failed check, a pivot tail outside [-B, B]) unpacks what it
+    needs and takes the list update above unchanged, and the row stays a
+    list.  Only the storage differs: the rows, pivots and rank are those of
+    the list updates alone.
     """
     n = len(matrix)
     if n == 0:
@@ -166,9 +165,9 @@ def _int_row(entries: Sequence[Fraction | int]) -> list[int]:
     return [e.numerator * (scale // e.denominator) for e in entries]
 
 
-# Bits a packed row's entries may grow by past the largest entry after the
-# content pass, and G, the guard bits above them in each slot: a packed unit
-# step takes |f| < 2**G.
+# Bits a packed row's entries may grow by past the largest entry of the
+# primitive rows, and G, the guard bits above them in each slot: a packed
+# unit step takes |f| < 2**G.
 _HEADROOM = 8
 _GUARD = 8
 
@@ -178,27 +177,26 @@ def _rank(rows: list) -> int:
     the kernel's own: it is eliminated in place, so no caller keeps the
     rows of an earlier step alive."""
     n = cols = len(rows[0])
-    contents = [math.gcd(*column) or 1 for column in zip(*rows)]
-    rows[:] = [[a // g for a, g in zip(row, contents)] for row in rows]
     rows[:] = [_primitive(row) for row in rows if any(row)]
 
     bits = max(map(abs, chain.from_iterable(rows)), default=0).bit_length() + _HEADROOM
     w = bits + 1 + _GUARD
     bound = 1 << bits
     mask = (1 << w) - 1
-    half = 1 << (w - 1)
     wide = 1 << _GUARD
     ones = ((1 << w * n) - 1) // mask
     off, high = bound * ones, (mask + 1 - 2 * bound) * ones
     # Every entry is below B / 2**8, so every row fits; a row that takes a
     # list update stays a list.
-    rows[:] = [_pack(row, w) for row in rows]
+    rows[:] = [_pack(row, w) + off for row in rows]
 
     rank = 0
     while rows:
         cols -= 1
+        off >>= w  # OFF at the width of the rows' tails
         pivot = next(
-            (i for i, row in enumerate(rows) if (row & mask if type(row) is int else row[0])),
+            (i for i, row in enumerate(rows)
+             if ((row & mask) != bound if type(row) is int else row[0])),
             None,
         )
         if pivot is None:
@@ -206,10 +204,8 @@ def _rank(rows: list) -> int:
             continue
         pivot_row = rows.pop(pivot)
         if type(pivot_row) is int:
-            lead = pivot_row & mask
-            if lead >= half:
-                lead -= mask + 1
-            packed_tail = (pivot_row - lead) >> w
+            lead = (pivot_row & mask) - bound
+            packed_tail = (pivot_row >> w) - off
             pivot_tail = None  # unpacked when a list update needs it
             if lead < 0:
                 lead, packed_tail = -lead, -packed_tail
@@ -223,21 +219,19 @@ def _rank(rows: list) -> int:
         # In place, so each old row is freed as soon as its update is built.
         for i, row in enumerate(rows):
             if type(row) is int:
-                factor = row & mask
+                factor = (row & mask) - bound
                 if not factor:
                     rows[i] = row >> w
                     continue
-                if factor >= half:
-                    factor -= mask + 1
                 g = math.gcd(lead, factor)
                 m, f = lead // g, factor // g
-                tail = (row - factor) >> w
+                tail = row >> w
                 if m == 1 and -wide < f < wide and packed_tail is not None:
                     u = tail - f * packed_tail
-                    if not (u + off) & high:
-                        rows[i] = u
+                    if not u & high:
+                        rows[i] = u if u != off else None
                         continue
-                tail = _unpack(tail + off, cols, w, bound)
+                tail = _unpack(tail, cols, w, bound)
             else:
                 factor = row[0]
                 if not factor:
@@ -252,9 +246,10 @@ def _rank(rows: list) -> int:
                 new = [a - f * b for a, b in zip(tail, pivot_tail)]
             else:
                 new = _primitive([m * a - f * b for a, b in zip(tail, pivot_tail)])
-            rows[i] = new if any(new) else 0
-        # Only updates make a row zero, and a zero row is then the int 0.
-        rows[:] = filter(None, rows)
+            rows[i] = new if any(new) else None
+        # Only updates make a row zero, and a zero row is then None: the
+        # stored int 0 is a row of -B.
+        rows[:] = [row for row in rows if row is not None]
         rank += 1
     return rank
 
@@ -268,8 +263,8 @@ def _pack(row: list[int], w: int) -> int:
 
 
 def _unpack(y: int, count: int, w: int, bound: int) -> list[int]:
-    """The first count entries of a packed row whose entries lie in
-    [-bound, bound], given the row plus bound in every slot."""
+    """The first count entries of a stored row, whose slot j holds entry j
+    plus bound."""
     mask = (1 << w) - 1
     return [(y >> s & mask) - bound for s in range(0, w * count, w)]
 

@@ -264,12 +264,12 @@ class TestMatrixRank:
                 for m in _content_heavy_cases(rng, n):
                     assert matrix_rank(m) == _sympy_rank(sympy, m), m
 
-    # Peak traced allocation of matrix_rank on CPython 3.11: 17 to 21 KB on
-    # two 16 x 16 known-rank matrices, 118 KB on a dense 32 x 32 matrix of
+    # Peak traced allocation of matrix_rank on CPython 3.11: 18 to 19 KB on
+    # two 16 x 16 known-rank matrices, 128 KB on a dense 32 x 32 matrix of
     # 3-digit p/q (rank 32: its determinant is nonzero mod 2**61 - 1).
     # Updates that skip the content reduction stay exact, but their entries
-    # grow: with no gcd at all the first two peak at 250 to 400 KB, and with
-    # no row division the third at 400 KB.
+    # grow: with no gcd at all the first two peak at 280 to 400 KB, and with
+    # no row division the third at 410 KB.
     KNOWN_RANK_CASES = list(_known_rank_cases(random.Random(31), 16))[:2]
     DENSE_CASE = _dense_rationals(random.Random(32), 32, (3, 3))
     KNOWN_RANK_BOUND = 64 * 1024

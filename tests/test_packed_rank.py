@@ -3,7 +3,8 @@
 ``oracles.list_matrix_rank`` is the kernel as it was before rows were
 packed.  The differential test runs both on generated matrices and traces
 ``gluing._rank`` line by line, so it can count how often each storage path
-was taken; every path must be reached.  Storage moves one way, packed to
+was taken and how often a packed lead or factor was negative; every path
+and both values must be reached.  Storage moves one way, packed to
 list, which a count of ``gluing._pack`` calls checks.  Mutants of the
 kernel are built from its source text, in a module of their own, for the
 negative controls.
@@ -31,45 +32,40 @@ PATHS = (
     "packed row, |f| >= 2**G",
     "packed row, entry crosses B",
     "m != 1",
-    "negative packed lead",
-    "negative packed factor",
     "packed pivot tail holds -B, negated",
     "zero column",
     "list pivot inside B",
     "list pivot outside B",
 )
 
+# Values the offset digits must decode right, counted like the paths.
+VALUES = ("packed lead < 0", "packed factor < 0")
+
 # The kernel lines whose start marks a path, as written in gluing._rank.
 ZERO_COLUMN = "rows[:] = [row >> w if type(row) is int else row[1:] for row in rows]"
-NEGATIVE_LEAD = "lead -= mask + 1"
+PACKED_PIVOT_TAIL = "packed_tail = (pivot_row >> w) - off"
 NEGATED_PACKED_PIVOT = "lead, packed_tail = -lead, -packed_tail"
 ROW_LOOP = "for i, row in enumerate(rows):"
-NEGATIVE_FACTOR = "factor -= mask + 1"
-PACKED_STEP = "rows[i] = u"
-PACKED_TO_LIST = "tail = _unpack(tail + off, cols, w, bound)"
+PACKED_ROW_TAIL = "tail = row >> w"
+PACKED_STEP = "rows[i] = u if u != off else None"
+PACKED_TO_LIST = "tail = _unpack(tail, cols, w, bound)"
 LIST_UPDATE = "if m == 1:  # a unit step keeps the row's scalar: no content gcd"
 NON_UNIT = "new = _primitive([m * a - f * b for a, b in zip(tail, pivot_tail)])"
-MARKED = {ZERO_COLUMN, NEGATIVE_LEAD, NEGATED_PACKED_PIVOT, ROW_LOOP, NEGATIVE_FACTOR,
+MARKED = {ZERO_COLUMN, PACKED_PIVOT_TAIL, NEGATED_PACKED_PIVOT, ROW_LOOP, PACKED_ROW_TAIL,
           PACKED_STEP, PACKED_TO_LIST, LIST_UPDATE, NON_UNIT}
 
 
-def _digits(x: int, count: int, w: int) -> list[int]:
-    """The balanced base-2**w digits of x, lowest first."""
-    out = []
-    for _ in range(count):
-        d = x & ((1 << w) - 1)
-        if d >= 1 << (w - 1):
-            d -= 1 << w
-        out.append(d)
-        x = (x - d) >> w
-    return out
+def _digits(y: int, count: int, w: int, offset: int) -> list[int]:
+    """The first count entries of a row stored with offset digits: slot j
+    of y, as base-2**w digits lowest first, holds entry j plus offset."""
+    return [(y >> (w * j) & ((1 << w) - 1)) - offset for j in range(count)]
 
 
 def _traced_rank(module, matrix) -> tuple[int, Counter]:
-    """module.matrix_rank(matrix), and how often each of PATHS was taken,
-    read off the lines _rank starts and its locals there.  module is gluing
-    or a mutant of it with the same lines.  A line started again right after
-    itself (a comprehension's loop) counts once."""
+    """module.matrix_rank(matrix), and how often each of PATHS was taken and
+    each of VALUES held, read off the lines _rank starts and its locals
+    there.  module is gluing or a mutant of it with the same lines.  A line
+    started again right after itself (a comprehension's loop) counts once."""
     code = module._rank.__code__
     counts = Counter()
     steps = set()
@@ -95,12 +91,13 @@ def _traced_rank(module, matrix) -> tuple[int, Counter]:
             counts["m != 1"] += 1
         elif text == LIST_UPDATE:
             counts["list update"] += 1
-        elif text == NEGATIVE_LEAD:
-            counts["negative packed lead"] += 1
-        elif text == NEGATIVE_FACTOR:
-            counts["negative packed factor"] += 1
+        elif text == PACKED_PIVOT_TAIL:  # the lead is decoded
+            counts["packed lead < 0"] += v["lead"] < 0
+        elif text == PACKED_ROW_TAIL:  # the factor is decoded
+            counts["packed factor < 0"] += v["factor"] < 0
         elif text == NEGATED_PACKED_PIVOT:
-            if -v["bound"] in _digits(v["packed_tail"], v["cols"], v["w"]):
+            tail = _digits(v["pivot_row"] >> v["w"], v["cols"], v["w"], v["bound"])
+            if -v["bound"] in tail:
                 counts["packed pivot tail holds -B, negated"] += 1
         elif text == ZERO_COLUMN:
             counts["zero column"] += 1
@@ -212,7 +209,7 @@ def test_packed_ranks_match_list_elimination_on_every_path():
         rank, counts = _traced_rank(gluing, matrix)
         assert rank == list_matrix_rank(matrix), name
         totals += counts
-    assert {path: totals[path] for path in PATHS if not totals[path]} == {}
+    assert {key: totals[key] for key in PATHS + VALUES if not totals[key]} == {}
 
 
 def _first_disagreement(module) -> str | None:
@@ -225,10 +222,12 @@ def _first_disagreement(module) -> str | None:
 @pytest.mark.parametrize(
     "edits",
     [
-        [("if not (u + off) & high:", "if True:")],
-        [("if lead >= half:", "if False:"), ("if factor >= half:", "if False:")],
+        [("if not u & high:", "if True:")],
+        [("factor = (row & mask) - bound", "factor = row & mask")],
+        # The int 0 is a stored row of -B, so only None may mark a zero row.
+        [("rows[:] = [row for row in rows if row is not None]", "rows[:] = filter(None, rows)")],
     ],
-    ids=["mask-check-dropped", "balanced-lead-dropped"],
+    ids=["mask-check-dropped", "offset-lead-dropped", "stored-zero-dropped"],
 )
 def test_negative_control_broken_packed_kernel_disagrees(edits):
     assert _first_disagreement(gluing) is None
@@ -255,7 +254,7 @@ def test_unit_cores_stay_packed(matrix, rank):
 
 
 def test_negative_control_list_only_kernel_breaks_the_guard():
-    module = _mutant(("rows[:] = [_pack(row, w) for row in rows]", "pass"))
+    module = _mutant(("rows[:] = [_pack(row, w) + off for row in rows]", "pass"))
     matrix, rank = GUARD_CASES[-1]
     got, counts = _traced_rank(module, matrix)
     assert got == rank
@@ -264,7 +263,7 @@ def test_negative_control_list_only_kernel_breaks_the_guard():
 
 def _over_one_way(module, monkeypatch) -> list[str]:
     """The CASES on which module._rank packs more than n + (pivot steps)
-    times: once per row after the content pass and at most once per list
+    times: once per row after the row content pass and at most once per list
     pivot's tail, which a kernel that never packs a row again keeps to."""
     calls = [0]
     pack = module._pack
@@ -290,9 +289,9 @@ def test_rows_are_packed_once(monkeypatch):
 def test_negative_control_repacking_kernel_breaks_the_one_way_guard(monkeypatch):
     # A kernel that packs a unit step's list result again when it fits.
     module = _mutant((
-        "rows[i] = new if any(new) else 0",
-        "if not any(new): new = 0\n"
-        "            elif m == 1 and -bound <= min(new) and max(new) < bound: new = _pack(new, w)\n"
+        "rows[i] = new if any(new) else None",
+        "if not any(new): new = None\n"
+        "            elif m == 1 and -bound <= min(new) and max(new) < bound: new = _pack(new, w) + off\n"
         "            rows[i] = new",
     ))
     assert _over_one_way(module, monkeypatch) != []
