@@ -156,66 +156,46 @@ def _csv_row(chi1, chi2, lower, upper, lower_open, upper_open) -> str:
     return f"{chi1},{chi2},true,{lower},{upper},{lower_open},{upper_open}\n"
 
 
-# Marks the fields in which the cells of one run differ: chi2 and the closed
-# endpoints.
+# Marks the fields in which the cells of one shape differ: chi1, chi2 and
+# the closed endpoints.
 _SLOT = "\0"
 
 
-def _slot(num: int, den: int) -> str:
-    return _SLOT
-
-
-def _ratio(num: int, den: int) -> str:
-    """num/den in lowest terms as "p/q"; never an integer, as a closed
-    endpoint lies strictly inside (0, 1)."""
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
-def _cell(layout, chi1, chi2, bounds, closed) -> str:
-    """layout's text of the cell (chi1, chi2) with w1_bounds bounds (None when
-    infeasible): open ends as "0" and "1", closed ones as closed(num, den)."""
-    if bounds is None:
-        return layout(chi1, chi2, None, None, None, None)
-    lo, hi, den, lo_open, hi_open = bounds
-    return layout(
-        chi1, chi2, "0" if lo_open else closed(lo, den), "1" if hi_open else closed(hi, den),
-        _JSON_BOOL[lo_open], _JSON_BOOL[hi_open],
-    )
+def _shapes(layout) -> dict:
+    """layout's text of each interval shape, cut at its slots: keyed by the
+    openness flags (lo_open, hi_open) of a feasible cell, and by None for an
+    infeasible one.  Open ends are "0" and "1"."""
+    shapes = {None: layout(_SLOT, _SLOT, None, None, None, None).split(_SLOT)}
+    for lo_open, hi_open in itertools.product((False, True), repeat=2):
+        lower, upper = "0" if lo_open else _SLOT, "1" if hi_open else _SLOT
+        text = layout(_SLOT, _SLOT, lower, upper, _JSON_BOOL[lo_open], _JSON_BOOL[hi_open])
+        shapes[lo_open, hi_open] = text.split(_SLOT)
+    return shapes
 
 
 def _laid_out(runs, layout, sep: str):
     """The cells of region_runs' runs laid out by layout and joined by sep,
     in texts of at most REGION_BATCH cells.
 
-    A one-cell run is laid out directly.  A longer one is laid out once
-    with _SLOT in its varying fields, and _run_text fills the slots, at
-    most REGION_BATCH cells at a time.
+    Each interval shape is laid out once; every run joins its chi1 into its
+    shape's pieces, and _run_text fills the other slots, at most
+    REGION_BATCH cells at a time.
     """
+    shapes = _shapes(layout)
     batch, room = [], REGION_BATCH
     for chi1, first, last, bounds, step in runs:
-        if first == last:
-            # Every run of a one-column box, and a run between adjacent
-            # cuts: cheaper laid out directly than through a template.
-            batch.append(_cell(layout, chi1, first, bounds, _ratio))
-            room -= 1
-        else:
-            template = _cell(layout, chi1, _SLOT, bounds, _slot)
-            pieces = template.split(_SLOT)
-            # An infeasible run has no closed end.
-            lo, hi, den, lo_open, hi_open = bounds or (0, 0, 0, True, True)
-            ends = ([] if lo_open else [lo]) + ([] if hi_open else [hi])
-            while True:
-                n = min(room, last - first + 1)
-                batch.append(_run_text(pieces, ends, range(first, first + n), den, step, sep))
-                first, den, room = first + n, den + step * n, room - n
-                if first > last:
-                    break
+        # An infeasible run has no closed end, and its shape's key is None.
+        lo, hi, den, lo_open, hi_open = bounds or (0, 0, 0, True, True)
+        ends = ([] if lo_open else [lo]) + ([] if hi_open else [hi])
+        head, mid, *rest = shapes[bounds and (lo_open, hi_open)]
+        pieces = [head + str(chi1) + mid, *rest]
+        while first <= last:
+            if not room:
                 yield sep.join(batch)
                 batch, room = [], REGION_BATCH
-        if not room:
-            yield sep.join(batch)
-            batch, room = [], REGION_BATCH
+            n = min(room, last - first + 1)
+            batch.append(_run_text(pieces, ends, range(first, first + n), den, step, sep))
+            first, den, room = first + n, den + step * n, room - n
     if batch:
         yield sep.join(batch)
 

@@ -107,15 +107,15 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     first nonzero entry of the column among the rows not yet used, its row
     negated when that entry is negative.  A row with factor f in the pivot
     column, against the pivot's lead m (both divided by their gcd), becomes
-    m*tail - f*pivot_tail; when m is 1 that is the whole update, and
-    otherwise the row is then divided by the gcd of its entries.  A row
-    with a zero factor just drops that entry.  Rows that become zero are
-    dropped.  This is exact: a row c*G, for G the Gaussian elimination row
-    and c a nonzero scalar, becomes m*c*G', so a unit step keeps c and any
-    other step makes the row primitive again; zero patterns, pivots and
-    rank are those of Gaussian elimination.  An entry is at most the scalar
-    its row got at its last primitive step times a Gaussian entry.
-    Requires a square matrix, which is left unchanged.
+    m*tail - f*pivot_tail; when m is 1, or the step is packed (below), that
+    is the whole update, and otherwise the row is then divided by the gcd
+    of its entries.  A row with a zero factor just drops that entry.  Rows
+    that become zero are dropped.  This is exact: a row c*G, for G the
+    Gaussian elimination row and c a nonzero scalar, becomes m*c*G', so a
+    unit step keeps c, a packed step multiplies it by m, and a list step
+    with m != 1 makes the row primitive again; zero patterns, pivots and
+    rank are those of Gaussian elimination.  An entry is c times a
+    Gaussian entry.  Requires a square matrix, which is left unchanged.
 
     Rows are stored packed where that is exact (Kronecker substitution).
     Let b be the bit length of the largest entry of the primitive rows plus
@@ -125,26 +125,30 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     offset by B, in [0, 2B).  Its lead is (y & (2**w - 1)) - B, dropping
     that column is y >> w, and it is the zero row when y is OFF, B in every
     slot.  Every row starts packed, since its entries are below B / 2**8;
-    storage only moves packed -> list.  A unit step (m = 1) of a packed row
-    with |f| < 2**G against a packed pivot tail p = sum(p_j * 2**(w*j)) is
-    one big-int multiply-subtract on the stored tail t, u = t - f*p, kept
-    when u & HIGH == 0, where HIGH is bits b+1 .. w-1 of every slot.  p is
-    read off a packed pivot row, or packed from a list pivot whose tail
-    lies in [-B, B]; a negated pivot may hold B itself.
+    storage only moves packed -> list.  A step of a packed row with
+    m + |f| <= 2**G against a packed pivot tail p = sum(p_j * 2**(w*j)) is
+    one big-int multiply-subtract on the stored tail t,
+    u = m*t - f*p - (m - 1)*OFF, kept when u & HIGH == 0, where HIGH is
+    bits b+1 .. w-1 of every slot; for m = 1 that is u = t - f*p.  A row
+    that stays packed keeps its content: the check, not a gcd, bounds its
+    entries.  p is read off a packed pivot row, or packed from a list pivot
+    whose tail lies in [-B, B]; a negated pivot may hold B itself.
 
     The check is exact.  By linearity u = sum(c_j * 2**(w*j)) with
-    c_j = t_j - f*p_j + B, and |c_j - B| <= B + (2**G - 1)*B = 2**(w-1).
+    c_j = m*t_j - f*p_j + B, and |c_j - B| <= (m + |f|)*B <= 2**G * B
+    = 2**(w-1).
     If every c_j is in [0, 2B), these are the digits of u and no HIGH bit
     is set.  Otherwise let j be the lowest slot with c_j outside [0, 2B).
     The slots below it are digits, so slot j of u holds c_j mod 2**w: c_j
     itself when 2B <= c_j <= B + 2**(w-1) < 2**w, a bit b+1 .. w-1 being
     set; and c_j + 2**w >= 2**(w-1) + B when B - 2**(w-1) <= c_j < 0, bit
     w-1 being set.  So the check passes exactly when every entry of u is in
-    [-B, B), and then u is the stored row.  Every other update (m != 1, a
-    wide f, a failed check, a pivot tail outside [-B, B]) unpacks what it
-    needs and takes the list update above unchanged, and the row stays a
-    list.  Only the storage differs: the rows, pivots and rank are those of
-    the list updates alone.
+    [-B, B), and then u is the stored row.  Every other update (a list
+    row, m + |f| > 2**G, a failed check, a pivot tail outside [-B, B])
+    unpacks what it needs and takes the list update above unchanged, and
+    the row stays a list.  A packed step differs from its list update
+    only in storage and in the gcd it skips, so pivots and rank are those
+    of the list updates alone.
     """
     n = len(matrix)
     if n == 0:
@@ -167,7 +171,7 @@ def _int_row(entries: Sequence[Fraction | int]) -> list[int]:
 
 # Bits a packed row's entries may grow by past the largest entry of the
 # primitive rows, and G, the guard bits above them in each slot: a packed
-# unit step takes |f| < 2**G.
+# step takes m + |f| <= 2**G.
 _HEADROOM = 8
 _GUARD = 8
 
@@ -226,8 +230,8 @@ def _rank(rows: list) -> int:
                 g = math.gcd(lead, factor)
                 m, f = lead // g, factor // g
                 tail = row >> w
-                if m == 1 and -wide < f < wide and packed_tail is not None:
-                    u = tail - f * packed_tail
+                if m + abs(f) <= wide and packed_tail is not None:
+                    u = m * tail - f * packed_tail - (m - 1) * off
                     if not u & high:
                         rows[i] = u if u != off else None
                         continue

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -538,6 +539,55 @@ class TestRegionEncoders:
             if out != whole_box_output(r, k, (lo1, hi1), (lo2, hi2), fmt):
                 return
         pytest.fail("swapped openness went unnoticed")
+
+
+# A box of several hundred runs, all five interval shapes among them.
+SHAPE_BOX = (4, 2, (-60, 60), (-70, 70))
+LAYOUTS = {"json": (cli._json_cell, ",\n"), "csv": (cli._csv_row, "")}
+
+
+def _layout_calls(module, fmt) -> int:
+    """How often one module._laid_out call over SHAPE_BOX calls its
+    layout.  module is cli or a mutant of it."""
+    layout, sep = LAYOUTS[fmt]
+    calls = [0]
+
+    def counted(*fields):
+        calls[0] += 1
+        return layout(*fields)
+
+    for _ in module._laid_out(region_runs(*SHAPE_BOX), counted, sep):
+        pass
+    return calls[0]
+
+
+def _cli_mutant(old: str, new: str):
+    """cli with the one occurrence of old replaced by new, compiled as its
+    own module of the package."""
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("nodalmoduli._cli_mutant")
+    module.__package__ = "nodalmoduli"
+    exec(compile(source.replace(old, new), cli.__file__, "exec"), module.__dict__)
+    return module
+
+
+class TestShapesLaidOutOnce:
+    def test_the_box_has_several_hundred_runs_of_every_shape(self):
+        runs = list(region_runs(*SHAPE_BOX))
+        assert len(runs) >= 300
+        shapes = {None if b is None else b[3:] for _, _, _, b, _ in runs}
+        assert len(shapes) == 5
+
+    @pytest.mark.parametrize("fmt", LAYOUTS)
+    def test_each_shape_is_laid_out_once_per_call(self, fmt):
+        assert _layout_calls(cli, fmt) <= 5
+
+    @pytest.mark.parametrize("fmt", LAYOUTS)
+    def test_negative_control_shape_table_per_run_exceeds_the_count(self, fmt):
+        loop = "    for chi1, first, last, bounds, step in runs:\n"
+        mutant = _cli_mutant(loop, loop + "        shapes = _shapes(layout)\n")
+        assert _layout_calls(mutant, fmt) > 5
 
 
 def src_env():

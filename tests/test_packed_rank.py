@@ -29,7 +29,8 @@ WIDE = 1 << gluing._GUARD
 
 PATHS = (
     "packed unit step",
-    "packed row, |f| >= 2**G",
+    "packed non-unit step",
+    "packed row, m + |f| > 2**G",
     "packed row, entry crosses B",
     "m != 1",
     "packed pivot tail holds -B, negated",
@@ -47,6 +48,7 @@ PACKED_PIVOT_TAIL = "packed_tail = (pivot_row >> w) - off"
 NEGATED_PACKED_PIVOT = "lead, packed_tail = -lead, -packed_tail"
 ROW_LOOP = "for i, row in enumerate(rows):"
 PACKED_ROW_TAIL = "tail = row >> w"
+PACKED_UPDATE = "u = m * tail - f * packed_tail - (m - 1) * off"
 PACKED_STEP = "rows[i] = u if u != off else None"
 PACKED_TO_LIST = "tail = _unpack(tail, cols, w, bound)"
 LIST_UPDATE = "if m == 1:  # a unit step keeps the row's scalar: no content gcd"
@@ -81,10 +83,10 @@ def _traced_rank(module, matrix) -> tuple[int, Counter]:
             return local
         v = frame.f_locals
         if text == PACKED_STEP:
-            counts["packed unit step"] += 1
-        elif text == PACKED_TO_LIST and v["m"] == 1:
-            if abs(v["f"]) >= WIDE:
-                counts["packed row, |f| >= 2**G"] += 1
+            counts["packed unit step" if v["m"] == 1 else "packed non-unit step"] += 1
+        elif text == PACKED_TO_LIST:
+            if v["m"] + abs(v["f"]) > WIDE:
+                counts["packed row, m + |f| > 2**G"] += 1
             elif v["packed_tail"] is not None:
                 counts["packed row, entry crosses B"] += 1  # the check failed
         elif text == NON_UNIT:
@@ -192,6 +194,9 @@ def _cases():
             [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)]
             for _ in range(n)
         ]
+    # Lead 2 against factors 1: both packed m = 2 steps give rows negative
+    # in every entry, [-3, -5] and [-9, -15], which differ by a factor 3.
+    yield "negative-non-unit-step", [[2, 1, 1], [1, -1, -2], [1, -4, -7]]
 
 
 CASES = list(_cases())
@@ -226,8 +231,13 @@ def _first_disagreement(module) -> str | None:
         [("factor = (row & mask) - bound", "factor = row & mask")],
         # The int 0 is a stored row of -B, so only None may mark a zero row.
         [("rows[:] = [row for row in rows if row is not None]", "rows[:] = filter(None, rows)")],
+        [(PACKED_UPDATE, "u = tail - f * packed_tail - (m - 1) * off")],
+        # Without the correction a packed m = 2 step stores each entry
+        # plus B; only an update negative in every entry passes the check.
+        [(PACKED_UPDATE, "u = m * tail - f * packed_tail")],
     ],
-    ids=["mask-check-dropped", "offset-lead-dropped", "stored-zero-dropped"],
+    ids=["mask-check-dropped", "offset-lead-dropped", "stored-zero-dropped",
+         "packed-m-factor-dropped", "packed-offset-correction-dropped"],
 )
 def test_negative_control_broken_packed_kernel_disagrees(edits):
     assert _first_disagreement(gluing) is None
