@@ -16,7 +16,13 @@ name, so both run in one process on the same matrices.  The classes are:
 - ``growth-n48``: 1 on the diagonal, -1 below it and 1 in the last column,
   and its negative: every pivot is +-1, but the last column doubles at
   each step, so its entries outgrow the packed slot partway through and
-  the rows fall back to lists.
+  the elimination hands off to lists;
+- ``handoff-n64``: three unit-lead cores L diag(+-1) U, with L 1 on the
+  diagonal and -1 below it and U unit upper triangular with entries in
+  [-1, 1].  In each, column c = 8, 32 or 60 is replaced by 0 above row
+  max(0, c - 16) and 1 from there down; under L's -1s it doubles at every
+  step from that row's step on, so the handoff comes early, mid-way or
+  late (at steps 11-14, 27-28 and 55-56 over seeds 1-10).
 
 For each class the trees run in the order A B B A, ROUNDS times; one sample
 is the time of one pass over the class's matrices, divided by their number,
@@ -116,6 +122,22 @@ def classes(seed: int) -> dict[str, list]:
          for i in range(48)]
         for sign in (1, -1)
     ]
+
+    def handoff_core(c: int) -> list[list[int]]:
+        n = 64
+        d = [rng.choice((-1, 1)) for _ in range(n)]
+        up = [[rng.randint(-1, 1) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        # Row i of L diag(d) U is d_i U_i less the sum of the rows above it.
+        rows, above = [], [0] * n
+        for i in range(n):
+            row = [d[i] * u for u in up[i]]
+            rows.append([a - b for a, b in zip(row, above)])
+            above = [a + b for a, b in zip(above, row)]
+        for i, row in enumerate(rows):
+            row[c] = int(i >= c - 16)
+        return rows
+
+    out["handoff-n64"] = [handoff_core(c) for c in (8, 32, 60)]
     return out
 
 

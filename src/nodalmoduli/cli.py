@@ -217,20 +217,17 @@ def _run_text(pieces, ends, chi2s, den, step, sep: str) -> str:
     if len(ends) == 1:
         head, mid, tail = pieces
         (e,) = ends
-        return sep.join(
-            f"{head}{c}{mid}{e // g}/{d // g}{tail}"
-            for c, d, g in zip(chi2s, dens, map(math.gcd, itertools.repeat(e), dens))
-        )
+        return sep.join([
+            f"{head}{c}{mid}{e // (g := math.gcd(e, d))}/{d // g}{tail}"
+            for c, d in zip(chi2s, dens)
+        ])
     head, mid1, mid2, tail = pieces
     lo, hi = ends
-    return sep.join(
-        f"{head}{c}{mid1}{lo // g}/{d // g}{mid2}{hi // h}/{d // h}{tail}"
-        for c, d, g, h in zip(
-            chi2s, dens,
-            map(math.gcd, itertools.repeat(lo), dens),
-            map(math.gcd, itertools.repeat(hi), dens),
-        )
-    )
+    return sep.join([
+        f"{head}{c}{mid1}{lo // (g := math.gcd(lo, d))}/{d // g}"
+        f"{mid2}{hi // (h := math.gcd(hi, d))}/{d // h}{tail}"
+        for c, d in zip(chi2s, dens)
+    ])
 
 
 def _json_components(rows):

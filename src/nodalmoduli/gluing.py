@@ -117,22 +117,21 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     rank are those of Gaussian elimination.  An entry is c times a
     Gaussian entry.  Requires a square matrix, which is left unchanged.
 
-    Rows are stored packed where that is exact (Kronecker substitution).
-    Let b be the bit length of the largest entry of the primitive rows plus
-    8, B = 2**b, and w = b + 1 + G with G = 8 guard bits.  A row whose
-    entries e_j all lie in [-B, B) may be stored as the one int
+    The elimination runs in two phases, so storage changes at most once.
+    In the packed phase every row is one int (Kronecker substitution).  Let
+    b be the bit length of the largest entry of the primitive rows plus 8,
+    B = 2**b, and w = b + 1 + G with G = 8 guard bits.  A row whose entries
+    e_j all lie in [-B, B) is stored as the one int
     y = sum((e_j + B) * 2**(w*j)): its base-2**w digits are the entries
     offset by B, in [0, 2B).  Its lead is (y & (2**w - 1)) - B, dropping
     that column is y >> w, and it is the zero row when y is OFF, B in every
-    slot.  Every row starts packed, since its entries are below B / 2**8;
-    storage only moves packed -> list.  A step of a packed row with
-    m + |f| <= 2**G against a packed pivot tail p = sum(p_j * 2**(w*j)) is
-    one big-int multiply-subtract on the stored tail t,
+    slot.  Every row starts packed, since its entries are below B / 2**8.
+    The pivot tail p = sum(p_j * 2**(w*j)) is read off the pivot row and
+    negated with its lead, so |p_j| <= B.  A step of a row with
+    m + |f| <= 2**G is one big-int multiply-subtract on the stored tail t,
     u = m*t - f*p - (m - 1)*OFF, kept when u & HIGH == 0, where HIGH is
-    bits b+1 .. w-1 of every slot; for m = 1 that is u = t - f*p.  A row
-    that stays packed keeps its content: the check, not a gcd, bounds its
-    entries.  p is read off a packed pivot row, or packed from a list pivot
-    whose tail lies in [-B, B]; a negated pivot may hold B itself.
+    bits b+1 .. w-1 of every slot; for m = 1 that is u = t - f*p.  A packed
+    row keeps its content: the check, not a gcd, bounds its entries.
 
     The check is exact.  By linearity u = sum(c_j * 2**(w*j)) with
     c_j = m*t_j - f*p_j + B, and |c_j - B| <= (m + |f|)*B <= 2**G * B
@@ -143,12 +142,15 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     itself when 2B <= c_j <= B + 2**(w-1) < 2**w, a bit b+1 .. w-1 being
     set; and c_j + 2**w >= 2**(w-1) + B when B - 2**(w-1) <= c_j < 0, bit
     w-1 being set.  So the check passes exactly when every entry of u is in
-    [-B, B), and then u is the stored row.  Every other update (a list
-    row, m + |f| > 2**G, a failed check, a pivot tail outside [-B, B])
-    unpacks what it needs and takes the list update above unchanged, and
-    the row stays a list.  A packed step differs from its list update
-    only in storage and in the gcd it skips, so pivots and rank are those
-    of the list updates alone.
+    [-B, B), and then u is the stored row.
+
+    A packed step builds its updated rows in a new list.  When one row's
+    update cannot stay packed (m + |f| > 2**G, or a failed check), that
+    list is dropped: the rows as they were before the step are unpacked,
+    and the list phase takes that step and every later one with the list
+    updates above.  A packed step differs from its list update only in
+    storage and in the gcd it skips, so pivots and rank are those of the
+    list updates alone.
     """
     n = len(matrix)
     if n == 0:
@@ -178,8 +180,8 @@ _GUARD = 8
 
 def _rank(rows: list) -> int:
     """matrix_rank of a nonempty square matrix of int rows.  The list is
-    the kernel's own: it is eliminated in place, so no caller keeps the
-    rows of an earlier step alive."""
+    the kernel's own: it holds the rows of the current step, so no caller
+    keeps the rows of an earlier step alive."""
     n = cols = len(rows[0])
     rows[:] = [_primitive(row) for row in rows if any(row)]
 
@@ -190,70 +192,72 @@ def _rank(rows: list) -> int:
     wide = 1 << _GUARD
     ones = ((1 << w * n) - 1) // mask
     off, high = bound * ones, (mask + 1 - 2 * bound) * ones
-    # Every entry is below B / 2**8, so every row fits; a row that takes a
-    # list update stays a list.
+    # Every entry is below B / 2**8, so every row fits.
     rows[:] = [_pack(row, w) + off for row in rows]
 
     rank = 0
     while rows:
         cols -= 1
         off >>= w  # OFF at the width of the rows' tails
-        pivot = next(
-            (i for i, row in enumerate(rows)
-             if ((row & mask) != bound if type(row) is int else row[0])),
-            None,
-        )
+        pivot = next((i for i, row in enumerate(rows) if row & mask != bound), None)
         if pivot is None:
-            rows[:] = [row >> w if type(row) is int else row[1:] for row in rows]
+            rows[:] = [row >> w for row in rows]
             continue
         pivot_row = rows.pop(pivot)
-        if type(pivot_row) is int:
-            lead = (pivot_row & mask) - bound
-            packed_tail = (pivot_row >> w) - off
-            pivot_tail = None  # unpacked when a list update needs it
-            if lead < 0:
-                lead, packed_tail = -lead, -packed_tail
-        else:
-            lead, pivot_tail = pivot_row[0], pivot_row[1:]
-            if lead < 0:
-                lead, pivot_tail = -lead, [-b for b in pivot_tail]
-            packed_tail = None
-            if -bound <= min(pivot_tail, default=0) and max(pivot_tail, default=0) <= bound:
-                packed_tail = _pack(pivot_tail, w)
+        lead = (pivot_row & mask) - bound
+        pivot_tail = (pivot_row >> w) - off
+        if lead < 0:
+            lead, pivot_tail = -lead, -pivot_tail
+        # A new list, so the rows before this step are kept for a handoff.
+        updated = []
+        for row in rows:
+            factor = (row & mask) - bound
+            if not factor:
+                updated.append(row >> w)
+                continue
+            g = math.gcd(lead, factor)
+            m, f = lead // g, factor // g
+            u = m * (row >> w) - f * pivot_tail - (m - 1) * off
+            if m + abs(f) > wide or u & high:
+                # The one change of storage: the rows as they were before
+                # this step, unpacked at its width, take the list updates.
+                rows.insert(pivot, pivot_row)
+                span = w * (cols + 1)
+                rows[:] = [[(y >> s & mask) - bound for s in range(0, span, w)] for y in rows]
+                return rank + _list_rank(rows)
+            if u != off:  # OFF is the zero row; the int 0 is a row of -B
+                updated.append(u)
+        rows[:] = updated
+        rank += 1
+    return rank
+
+
+def _list_rank(rows: list[list[int]]) -> int:
+    """The rank of nonzero int list rows of one length by matrix_rank's list
+    updates, eliminated in place."""
+    rank = 0
+    while rows:
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot is None:
+            rows[:] = [row[1:] for row in rows]
+            continue
+        pivot_row = rows.pop(pivot)
+        lead, pivot_tail = pivot_row[0], pivot_row[1:]
+        if lead < 0:
+            lead, pivot_tail = -lead, [-b for b in pivot_tail]
         # In place, so each old row is freed as soon as its update is built.
         for i, row in enumerate(rows):
-            if type(row) is int:
-                factor = (row & mask) - bound
-                if not factor:
-                    rows[i] = row >> w
-                    continue
-                g = math.gcd(lead, factor)
-                m, f = lead // g, factor // g
-                tail = row >> w
-                if m + abs(f) <= wide and packed_tail is not None:
-                    u = m * tail - f * packed_tail - (m - 1) * off
-                    if not u & high:
-                        rows[i] = u if u != off else None
-                        continue
-                tail = _unpack(tail, cols, w, bound)
-            else:
-                factor = row[0]
-                if not factor:
-                    rows[i] = row[1:]
-                    continue
-                g = math.gcd(lead, factor)
-                m, f = lead // g, factor // g
-                tail = row[1:]
-            if pivot_tail is None:
-                pivot_tail = _unpack(packed_tail + off, cols, w, bound)
+            factor = row[0]
+            if not factor:
+                rows[i] = row[1:]
+                continue
+            g = math.gcd(lead, factor)
+            m, f = lead // g, factor // g
             if m == 1:  # a unit step keeps the row's scalar: no content gcd
-                new = [a - f * b for a, b in zip(tail, pivot_tail)]
+                rows[i] = [a - f * b for a, b in zip(row[1:], pivot_tail)]
             else:
-                new = _primitive([m * a - f * b for a, b in zip(tail, pivot_tail)])
-            rows[i] = new if any(new) else None
-        # Only updates make a row zero, and a zero row is then None: the
-        # stored int 0 is a row of -B.
-        rows[:] = [row for row in rows if row is not None]
+                rows[i] = _primitive([m * a - f * b for a, b in zip(row[1:], pivot_tail)])
+        rows[:] = filter(any, rows)
         rank += 1
     return rank
 
@@ -264,13 +268,6 @@ def _pack(row: list[int], w: int) -> int:
     for e in reversed(row):
         x = (x << w) + e
     return x
-
-
-def _unpack(y: int, count: int, w: int, bound: int) -> list[int]:
-    """The first count entries of a stored row, whose slot j holds entry j
-    plus bound."""
-    mask = (1 << w) - 1
-    return [(y >> s & mask) - bound for s in range(0, w * count, w)]
 
 
 def _ints(row: Sequence) -> bool:

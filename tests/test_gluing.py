@@ -265,7 +265,7 @@ class TestMatrixRank:
                     assert matrix_rank(m) == _sympy_rank(sympy, m), m
 
     # Peak traced allocation of matrix_rank on CPython 3.11: 18 to 19 KB on
-    # two 16 x 16 known-rank matrices, 128 KB on a dense 32 x 32 matrix of
+    # two 16 x 16 known-rank matrices, 129 KB on a dense 32 x 32 matrix of
     # 3-digit p/q (rank 32: its determinant is nonzero mod 2**61 - 1).
     # Updates that skip the content reduction stay exact, but their entries
     # grow: with no gcd at all the first two peak at 280 to 400 KB, and with

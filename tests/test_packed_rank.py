@@ -1,13 +1,14 @@
-"""matrix_rank's packed rows against the list elimination they replace.
+"""matrix_rank's two phases against the list elimination they replace.
 
 ``oracles.list_matrix_rank`` is the kernel as it was before rows were
 packed.  The differential test runs both on generated matrices and traces
-``gluing._rank`` line by line, so it can count how often each storage path
-was taken and how often a packed lead or factor was negative; every path
-and both values must be reached.  Storage moves one way, packed to
-list, which a count of ``gluing._pack`` calls checks.  Mutants of the
-kernel are built from its source text, in a module of their own, for the
-negative controls.
+``gluing._rank`` and ``gluing._list_rank`` line by line, so it can count
+how often each path was taken (a packed step, each kind of handoff to the
+list phase, a list step) and how often a packed lead or factor was
+negative; every path and both values must be reached.  Rows are packed
+once, at the start, which a count of ``gluing._pack`` calls checks.
+Mutants of the kernel are built from its source text, in a module of
+their own, for the negative controls.
 """
 
 import random
@@ -30,31 +31,34 @@ WIDE = 1 << gluing._GUARD
 PATHS = (
     "packed unit step",
     "packed non-unit step",
-    "packed row, m + |f| > 2**G",
-    "packed row, entry crosses B",
-    "m != 1",
+    "handoff on m + |f| > 2**G",
+    "handoff on an entry crossing B",
+    "handoff after a packed update in the same step",
+    "handoff at step 0",
+    "list unit step",
+    "list m != 1",
     "packed pivot tail holds -B, negated",
-    "zero column",
-    "list pivot inside B",
-    "list pivot outside B",
+    "packed zero column",
+    "list zero column",
 )
 
 # Values the offset digits must decode right, counted like the paths.
 VALUES = ("packed lead < 0", "packed factor < 0")
 
-# The kernel lines whose start marks a path, as written in gluing._rank.
-ZERO_COLUMN = "rows[:] = [row >> w if type(row) is int else row[1:] for row in rows]"
-PACKED_PIVOT_TAIL = "packed_tail = (pivot_row >> w) - off"
-NEGATED_PACKED_PIVOT = "lead, packed_tail = -lead, -packed_tail"
-ROW_LOOP = "for i, row in enumerate(rows):"
-PACKED_ROW_TAIL = "tail = row >> w"
-PACKED_UPDATE = "u = m * tail - f * packed_tail - (m - 1) * off"
-PACKED_STEP = "rows[i] = u if u != off else None"
-PACKED_TO_LIST = "tail = _unpack(tail, cols, w, bound)"
-LIST_UPDATE = "if m == 1:  # a unit step keeps the row's scalar: no content gcd"
-NON_UNIT = "new = _primitive([m * a - f * b for a, b in zip(tail, pivot_tail)])"
-MARKED = {ZERO_COLUMN, PACKED_PIVOT_TAIL, NEGATED_PACKED_PIVOT, ROW_LOOP, PACKED_ROW_TAIL,
-          PACKED_STEP, PACKED_TO_LIST, LIST_UPDATE, NON_UNIT}
+# The kernel lines whose start marks a path, as written in gluing._rank
+# and gluing._list_rank.
+PACKED_ZERO_COLUMN = "rows[:] = [row >> w for row in rows]"
+PACKED_PIVOT_TAIL = "pivot_tail = (pivot_row >> w) - off"
+NEGATED_PACKED_PIVOT = "lead, pivot_tail = -lead, -pivot_tail"
+PACKED_STEP_START = "updated = []"
+PACKED_UPDATE = "u = m * (row >> w) - f * pivot_tail - (m - 1) * off"
+PACKED_STEP = "if u != off:  # OFF is the zero row; the int 0 is a row of -B"
+HANDOFF = "rows.insert(pivot, pivot_row)"
+LIST_ZERO_COLUMN = "rows[:] = [row[1:] for row in rows]"
+LIST_UNIT = "rows[i] = [a - f * b for a, b in zip(row[1:], pivot_tail)]"
+LIST_NON_UNIT = "rows[i] = _primitive([m * a - f * b for a, b in zip(row[1:], pivot_tail)])"
+MARKED = {PACKED_ZERO_COLUMN, PACKED_PIVOT_TAIL, NEGATED_PACKED_PIVOT, PACKED_STEP_START,
+          PACKED_UPDATE, PACKED_STEP, HANDOFF, LIST_ZERO_COLUMN, LIST_UNIT, LIST_NON_UNIT}
 
 
 def _digits(y: int, count: int, w: int, offset: int) -> list[int]:
@@ -65,13 +69,13 @@ def _digits(y: int, count: int, w: int, offset: int) -> list[int]:
 
 def _traced_rank(module, matrix) -> tuple[int, Counter]:
     """module.matrix_rank(matrix), and how often each of PATHS was taken and
-    each of VALUES held, read off the lines _rank starts and its locals
-    there.  module is gluing or a mutant of it with the same lines.  A line
-    started again right after itself (a comprehension's loop) counts once."""
-    code = module._rank.__code__
+    each of VALUES held, read off the lines _rank and _list_rank start and
+    their locals there, with "handoff" counting the handoffs.  module is
+    gluing or a mutant of it with the same lines.  A line started again
+    right after itself (a comprehension's loop) counts once."""
+    codes = {module._rank.__code__, module._list_rank.__code__}
     counts = Counter()
-    steps = set()
-    list_pivots = []  # per list pivot once a row is packed: was its tail packed
+    packed_update = [False]  # whether the current packed step updated a row
     last = [None]
 
     def local(frame, event, arg):
@@ -84,33 +88,37 @@ def _traced_rank(module, matrix) -> tuple[int, Counter]:
         v = frame.f_locals
         if text == PACKED_STEP:
             counts["packed unit step" if v["m"] == 1 else "packed non-unit step"] += 1
-        elif text == PACKED_TO_LIST:
+            packed_update[0] = True
+        elif text == PACKED_STEP_START:
+            packed_update[0] = False
+        elif text == PACKED_UPDATE:  # the factor is decoded
+            counts["packed factor < 0"] += v["factor"] < 0
+        elif text == HANDOFF:
+            counts["handoff"] += 1
             if v["m"] + abs(v["f"]) > WIDE:
-                counts["packed row, m + |f| > 2**G"] += 1
-            elif v["packed_tail"] is not None:
-                counts["packed row, entry crosses B"] += 1  # the check failed
-        elif text == NON_UNIT:
-            counts["m != 1"] += 1
-        elif text == LIST_UPDATE:
-            counts["list update"] += 1
+                counts["handoff on m + |f| > 2**G"] += 1
+            else:
+                counts["handoff on an entry crossing B"] += 1  # the check failed
+            counts["handoff after a packed update in the same step"] += packed_update[0]
+            counts["handoff at step 0"] += v["rank"] == 0
+        elif text == LIST_UNIT:
+            counts["list unit step"] += 1
+        elif text == LIST_NON_UNIT:
+            counts["list m != 1"] += 1
         elif text == PACKED_PIVOT_TAIL:  # the lead is decoded
             counts["packed lead < 0"] += v["lead"] < 0
-        elif text == PACKED_ROW_TAIL:  # the factor is decoded
-            counts["packed factor < 0"] += v["factor"] < 0
         elif text == NEGATED_PACKED_PIVOT:
             tail = _digits(v["pivot_row"] >> v["w"], v["cols"], v["w"], v["bound"])
             if -v["bound"] in tail:
                 counts["packed pivot tail holds -B, negated"] += 1
-        elif text == ZERO_COLUMN:
-            counts["zero column"] += 1
-        elif text == ROW_LOOP and v["rank"] not in steps:  # the step's first row
-            steps.add(v["rank"])
-            if type(v["pivot_row"]) is list and v["off"] is not None:
-                list_pivots.append(v["packed_tail"] is not None)
+        elif text == PACKED_ZERO_COLUMN:
+            counts["packed zero column"] += 1
+        elif text == LIST_ZERO_COLUMN:
+            counts["list zero column"] += 1
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code is code else None
+        return local if frame.f_code in codes else None
 
     before = sys.gettrace()
     sys.settrace(calls)
@@ -118,8 +126,6 @@ def _traced_rank(module, matrix) -> tuple[int, Counter]:
         rank = module.matrix_rank(matrix)
     finally:
         sys.settrace(before)
-    counts["list pivot inside B"] = sum(list_pivots)
-    counts["list pivot outside B"] = len(list_pivots) - counts["list pivot inside B"]
     return rank, counts
 
 
@@ -170,6 +176,15 @@ def _with_dependent_line(matrix: list[list[int]], at: int) -> list[list[int]]:
     return rows + [[a - b for a, b in zip(rows[1], rows[n // 2])]]
 
 
+def _with_repeated_column(matrix: list[list[int]], at: int) -> list[list[int]]:
+    """The n x n matrix with column at repeated next to itself, and then
+    bordered by the difference of rows 1 and n // 2: rank n, and the repeat
+    is a zero column once column at is eliminated."""
+    n = len(matrix)
+    rows = [row[:at + 1] + row[at:] for row in matrix]
+    return rows + [[a - b for a, b in zip(rows[1], rows[n // 2])]]
+
+
 def _cases():
     """(name, matrix) pairs that reach every path in PATHS."""
     rng = random.Random(2024)
@@ -189,6 +204,10 @@ def _cases():
                 yield f"growth-n{n}-{sign:+d}-at{at}", growth
                 yield f"growth-deficient-n{n}-{sign:+d}-at{at}", deficient
                 yield f"growth-shuffled-n{n}-{sign:+d}-at{at}", rng.sample(deficient, n + 1)
+            # From n = 14 the repeat comes after the handoff, at about step
+            # 9, so it is a zero column of the list phase.
+            repeated = _with_repeated_column(_growth(n, sign, n - 1), n - 3)
+            yield f"growth-repeated-n{n}-{sign:+d}", repeated
     for n in (4, 7):
         yield f"dense-n{n}", [
             [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)]
@@ -213,6 +232,7 @@ def test_packed_ranks_match_list_elimination_on_every_path():
     for name, matrix in CASES:
         rank, counts = _traced_rank(gluing, matrix)
         assert rank == list_matrix_rank(matrix), name
+        assert counts["handoff"] <= 1, name
         totals += counts
     assert {key: totals[key] for key in PATHS + VALUES if not totals[key]} == {}
 
@@ -227,26 +247,39 @@ def _first_disagreement(module) -> str | None:
 @pytest.mark.parametrize(
     "edits",
     [
-        [("if not u & high:", "if True:")],
-        [("factor = (row & mask) - bound", "factor = row & mask")],
-        # The int 0 is a stored row of -B, so only None may mark a zero row.
-        [("rows[:] = [row for row in rows if row is not None]", "rows[:] = filter(None, rows)")],
-        [(PACKED_UPDATE, "u = tail - f * packed_tail - (m - 1) * off")],
+        [("if m + abs(f) > wide or u & high:", "if m + abs(f) > wide:")],
+        # The handoff decodes every lead of the list phase.  A packed lead or
+        # factor decoded without the offset is off by B, so it makes
+        # m + |f| > 2**G and hands off: that mutant ranks right.
+        [("(y >> s & mask) - bound", "(y >> s & mask)")],
+        # The int 0 is a stored row of -B, so only OFF may mark a zero row.
+        [("if u != off:", "if u and u != off:")],
+        [(PACKED_UPDATE, "u = (row >> w) - f * pivot_tail - (m - 1) * off")],
         # Without the correction a packed m = 2 step stores each entry
         # plus B; only an update negative in every entry passes the check.
-        [(PACKED_UPDATE, "u = m * tail - f * packed_tail")],
+        [(PACKED_UPDATE, "u = m * (row >> w) - f * pivot_tail")],
+        # The handoff's rows hold the pivot column, one slot more than
+        # their tails.
+        [("span = w * (cols + 1)", "span = w * cols")],
+        # The step writes its updates over the rows it would hand off.
+        [("for row in rows:", "for i, row in enumerate(rows):"),
+         ("updated.append(u)", "updated.append(u)\n                rows[i] = u")],
+        # The failed step is counted, but its rows are handed off as they
+        # were, without the pivot.
+        [(HANDOFF, "rank += 1")],
     ],
     ids=["mask-check-dropped", "offset-lead-dropped", "stored-zero-dropped",
-         "packed-m-factor-dropped", "packed-offset-correction-dropped"],
+         "packed-m-factor-dropped", "packed-offset-correction-dropped",
+         "handoff-one-slot-short", "handoff-partly-updated-rows", "handoff-skips-failed-step"],
 )
 def test_negative_control_broken_packed_kernel_disagrees(edits):
     assert _first_disagreement(gluing) is None
     assert _first_disagreement(_mutant(*edits)) is not None
 
 
-# The packed-path guard: on cores whose Gaussian pivots are all +-1, rows
-# start packed and take at most n list updates in all, so a kernel that
-# quietly stays on lists fails here although its ranks are right.
+# The packed-path guard: on cores whose Gaussian pivots are all +-1, every
+# step stays packed, so a kernel that quietly hands off to lists fails
+# here although its ranks are right.
 GUARD_CASES = [
     (_rank_t_core(random.Random(40 + n), n, t, (-1, 1)), t)
     for n in (12, 64)
@@ -259,22 +292,24 @@ GUARD_CASES = [
 def test_unit_cores_stay_packed(matrix, rank):
     got, counts = _traced_rank(gluing, matrix)
     assert got == rank
-    assert counts["list update"] <= len(matrix)
+    assert counts["handoff"] == 0
     assert counts["packed unit step"] > 0
 
 
 def test_negative_control_list_only_kernel_breaks_the_guard():
-    module = _mutant(("rows[:] = [_pack(row, w) + off for row in rows]", "pass"))
+    # A kernel that hands every matrix off at its first updated row.
+    module = _mutant(("if m + abs(f) > wide or u & high:", "if True:"))
     matrix, rank = GUARD_CASES[-1]
     got, counts = _traced_rank(module, matrix)
     assert got == rank
-    assert counts["list update"] > len(matrix)
+    assert counts["handoff"] == 1
+    assert counts["list unit step"] > 0
 
 
-def _over_one_way(module, monkeypatch) -> list[str]:
-    """The CASES on which module._rank packs more than n + (pivot steps)
-    times: once per row after the row content pass and at most once per list
-    pivot's tail, which a kernel that never packs a row again keeps to."""
+def _over_one_pack(module, monkeypatch) -> list[str]:
+    """The CASES on which module._rank packs more than n times: once per
+    row of the initial pack, which a kernel that packs nothing later keeps
+    to."""
     calls = [0]
     pack = module._pack
 
@@ -286,22 +321,17 @@ def _over_one_way(module, monkeypatch) -> list[str]:
     over = []
     for name, matrix in CASES:
         calls[0] = 0
-        rank = module.matrix_rank(matrix)  # one pivot step per unit of rank
-        if calls[0] > len(matrix) + rank:
+        module.matrix_rank(matrix)
+        if calls[0] > len(matrix):
             over.append(name)
     return over
 
 
 def test_rows_are_packed_once(monkeypatch):
-    assert _over_one_way(gluing, monkeypatch) == []
+    assert _over_one_pack(gluing, monkeypatch) == []
 
 
 def test_negative_control_repacking_kernel_breaks_the_one_way_guard(monkeypatch):
-    # A kernel that packs a unit step's list result again when it fits.
-    module = _mutant((
-        "rows[i] = new if any(new) else None",
-        "if not any(new): new = None\n"
-        "            elif m == 1 and -bound <= min(new) and max(new) < bound: new = _pack(new, w) + off\n"
-        "            rows[i] = new",
-    ))
-    assert _over_one_way(module, monkeypatch) != []
+    # A kernel that packs a list unit step's result again.
+    module = _mutant((LIST_UNIT, LIST_UNIT + "\n                _pack(rows[i], 1)"))
+    assert _over_one_pack(module, monkeypatch) != []
