@@ -1,10 +1,22 @@
-"""Time gluing.matrix_rank of two source trees on named classes of matrices.
+"""Time one layer of two source trees on named classes of inputs.
 
-    python3 bench/matrix_rank.py A_SRC B_SRC [SEED]
+    python3 bench/ab.py LAYER A_SRC B_SRC [SEED]
 
-A_SRC and B_SRC are the ``src`` directories of two checkouts (the same one
-twice gives the noise floor).  Each tree's package is loaded under its own
-name, so both run in one process on the same matrices.  The classes are:
+LAYER is ``matrix_rank``, ``parse_matrix`` or ``region_layout``.  A_SRC and
+B_SRC are the ``src`` directories of two checkouts (the same one twice
+gives the noise floor).  Each tree's package is loaded under its own name,
+so both run in one process on the same inputs.  SEED (default 1) fixes the
+inputs.  Each layer times one function of a tree on its own classes:
+
+- ``matrix_rank``: ``gluing.matrix_rank`` on matrices;
+- ``parse_matrix``: ``gluing.parse_matrix`` on matrices of cells as
+  ``json.load(..., parse_int=str)`` returns them from a file, which is how
+  the ``glue`` command hands them over;
+- ``region_layout``: the region writer, ``cli._laid_out`` over
+  ``feasibility.region_runs``, on boxes; a sample is one box's cell text,
+  as the ``region`` command writes it between its header and its footer.
+
+The classes of ``matrix_rank`` are:
 
 - ``glue-n<n>``: the glue-cli matrices of ``perfbench/inputs.rank_t_matrix``
   (rank n, n - 1 and 1..3), as ``parse_matrix`` hands them to the rank: rows
@@ -24,13 +36,33 @@ name, so both run in one process on the same matrices.  The classes are:
   step from that row's step on, so the handoff comes early, mid-way or
   late (at steps 11-14, 27-28 and 55-56 over seeds 1-10).
 
-For each class the trees run in the order A B B A, ROUNDS times; one sample
-is the time of one pass over the class's matrices, divided by their number,
-and each B sample is paired with the A sample next to it.  The script
-prints, per class, each tree's median and quartiles in ms per matrix, the
-ratio of the medians B/A and how many of the 2 * ROUNDS pairs B won (ran
-faster in), after the Python version and both commits.  It needs only the
-standard library.
+The classes of ``parse_matrix`` are:
+
+- ``glue-n<n>``: the same matrices as ``matrix_rank``'s classes of that
+  name for a given seed, as cells;
+- ``ints-n64``: three 64x64 matrices of JSON integers of up to 4 digits;
+- ``padded-n64``: three 64x64 matrices of "p/q" cells with a sign, leading
+  zeros, unreduced fractions and spaces around the cell.
+
+The classes of ``region_layout`` hold one box each:
+
+- ``first-json``: the first box of ``perfbench/inputs.region_requests``,
+  the 10**5-cell JSON box that opens every region-box run;
+- ``largest-json``, ``largest-csv`` and ``median-<format>``: the largest
+  JSON box, the largest CSV box and the box of median size among the
+  LATER requests after it, for the given seed;
+- ``narrow-json`` and ``narrow-csv``: the 10,001 x 8 box r = 4, k = 2,
+  chi1 -5000..5000, chi2 0..7, whose rows are cut into runs of one to
+  four cells, narrower than any row of region-box.
+
+Before a class is timed, both trees run on each of its inputs, and the
+script stops if they return different results.  Then the trees run in the
+order A B B A, ROUNDS times; one sample is the time of one pass over the
+class's inputs, divided by their number, and each B sample is paired with
+the A sample next to it.  The script prints, per class, each tree's median
+and quartiles in ms per input, the ratio of the medians B/A and how many
+of the 2 * ROUNDS pairs B won (ran faster in), after the Python version
+and both commits.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -38,6 +70,8 @@ from __future__ import annotations
 import gc
 import importlib
 import importlib.util
+import itertools
+import json
 import math
 import os
 import platform
@@ -50,13 +84,20 @@ from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-import inputs  # noqa: E402  (perfbench/inputs.py, for the glue-cli matrices)
+import inputs  # noqa: E402  (perfbench/inputs.py, for the glue and region inputs)
 
 ROUNDS = 5
 
+# Requests after the first among which region_layout's largest and median
+# boxes are picked.
+LATER = 400
 
-def load_matrix_rank(src: str, name: str):
-    """matrix_rank of the package under src, imported as the package `name`."""
+NARROW = (4, 2, (-5000, 5000), (0, 7))
+
+
+def load(src: str, name: str):
+    """The package under src, imported as the package `name`, with its cli
+    module."""
     package = os.path.join(os.path.abspath(src), "nodalmoduli")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(package, "__init__.py"), submodule_search_locations=[package]
@@ -64,7 +105,8 @@ def load_matrix_rank(src: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.gluing").matrix_rank
+    importlib.import_module(f"{name}.cli")
+    return module
 
 
 def commit(src: str) -> str:
@@ -82,6 +124,17 @@ def commit(src: str) -> str:
         return "unknown"
 
 
+def glue_classes(rng: random.Random, convert) -> dict[str, list]:
+    """``glue-n<n>`` -> the glue-cli matrices of that size, each converted
+    from its "p/q" cells by convert."""
+    return {
+        f"glue-n{n}": [
+            convert(inputs.rank_t_matrix(rng, n, t)) for t in (n, n - 1, rng.randint(1, 3))
+        ]
+        for n in inputs.GLUE_SIZES
+    }
+
+
 def int_rows(cells: list[list[str]]) -> tuple[tuple[int, ...], ...]:
     """Rows of "p/q" cells as parse_matrix returns them."""
     rows = []
@@ -92,14 +145,10 @@ def int_rows(cells: list[list[str]]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def classes(seed: int) -> dict[str, list]:
-    """Class name -> its matrices, the same for a given seed."""
+def rank_classes(seed: int) -> dict[str, list]:
+    """matrix_rank's class name -> its matrices, the same for a given seed."""
     rng = random.Random(seed)
-    out = {}
-    for n in inputs.GLUE_SIZES:
-        out[f"glue-n{n}"] = [
-            int_rows(inputs.rank_t_matrix(rng, n, t)) for t in (n, n - 1, rng.randint(1, 3))
-        ]
+    out = glue_classes(rng, int_rows)
 
     def dense(n: int, d: int) -> list[list[Fraction]]:
         def part(low: int) -> int:
@@ -141,6 +190,68 @@ def classes(seed: int) -> dict[str, list]:
     return out
 
 
+def as_read(cells: list) -> list:
+    """The matrix as the glue command reads it back from a JSON file."""
+    return json.loads(json.dumps(cells), parse_int=str)
+
+
+def parse_classes(seed: int) -> dict[str, list]:
+    """parse_matrix's class name -> its matrices of cells, the same for a
+    given seed."""
+    rng = random.Random(seed)
+    out = glue_classes(rng, as_read)
+    out["ints-n64"] = [
+        as_read([[rng.randint(-9999, 9999) for _ in range(64)] for _ in range(64)])
+        for _ in range(3)
+    ]
+
+    def padded() -> str:
+        m = rng.randint(1, 4)
+        p, q = rng.randint(-99, 99) * m, rng.randint(1, 99) * m
+        sign = "+" if p >= 0 and rng.random() < 0.5 else ""
+        return f"{' ' * rng.randint(0, 2)}{sign}{p:03d}/{q:03d}{' ' * rng.randint(0, 2)}"
+
+    out["padded-n64"] = [
+        as_read([[padded() for _ in range(64)] for _ in range(64)]) for _ in range(3)
+    ]
+    return out
+
+
+def region_classes(seed: int) -> dict[str, list]:
+    """region_layout's class name -> its one box, an ``inputs.Region``, the
+    same for a given seed."""
+    requests = itertools.islice(inputs.region_requests(seed), 1 + LATER)
+    first, *later = requests
+    by_size = sorted(later, key=lambda box: box.cells)
+    median = by_size[len(by_size) // 2]
+    out = {"first-json": [first]}
+    for fmt in ("json", "csv"):
+        out[f"largest-{fmt}"] = [max((b for b in by_size if b.fmt == fmt), key=lambda b: b.cells)]
+    out[f"median-{median.fmt}"] = [median]
+    for fmt in ("json", "csv"):
+        out[f"narrow-{fmt}"] = [inputs.Region(*NARROW, fmt)]
+    return out
+
+
+def laid_out(cli):
+    """The function from a box to the cell text cli's region command
+    writes for it."""
+    def text(box) -> str:
+        layout, sep = (cli._csv_row, "") if box.fmt == "csv" else (cli._json_cell, ",\n")
+        runs = cli.region_runs(box.r, box.k, box.chi1, box.chi2)
+        return sep.join(cli._laid_out(runs, layout, sep))
+
+    return text
+
+
+# Layer -> (its classes for a seed, the function it times in a package).
+LAYERS = {
+    "matrix_rank": (rank_classes, lambda package: package.gluing.matrix_rank),
+    "parse_matrix": (parse_classes, lambda package: package.gluing.parse_matrix),
+    "region_layout": (region_classes, lambda package: laid_out(package.cli)),
+}
+
+
 def sample_ms(fn, inputs: list) -> float:
     gc.collect()
     start = time.perf_counter()
@@ -178,14 +289,15 @@ def compare(a_src: str, b_src: str, seed: int, fn_a, fn_b, cases: dict[str, list
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3):
+    if len(argv) not in (3, 4) or argv[0] not in LAYERS:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    a_src, b_src = argv[:2]
-    seed = int(argv[2]) if len(argv) == 3 else 1
-    rank_a = load_matrix_rank(a_src, "nodalmoduli_a")
-    rank_b = load_matrix_rank(b_src, "nodalmoduli_b")
-    compare(a_src, b_src, seed, rank_a, rank_b, classes(seed))
+    layer, a_src, b_src = argv[:3]
+    seed = int(argv[3]) if len(argv) == 4 else 1
+    classes, timed = LAYERS[layer]
+    fn_a = timed(load(a_src, "nodalmoduli_a"))
+    fn_b = timed(load(b_src, "nodalmoduli_b"))
+    compare(a_src, b_src, seed, fn_a, fn_b, classes(seed))
     return 0
 
 

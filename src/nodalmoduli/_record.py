@@ -44,7 +44,7 @@ class Record:
 
 def _json(value: object) -> object:
     """A field value as JSON data.  ``str`` of a ``Fraction`` is "p/q" in
-    lowest terms, or "p": the text ``rationals.format_rational`` writes."""
+    lowest terms, or "p" when the denominator is 1."""
     if isinstance(value, Record):
         return value.to_json()
     if isinstance(value, Fraction):

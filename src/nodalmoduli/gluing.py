@@ -55,20 +55,15 @@ class GluingDatum(Record):
     ) -> None:
         validate_ranks(r)
         if sigma is not None:
-            # Rows that are already tuples of ints (parse_matrix's) are kept,
-            # and the rank eliminates them without checking them again.
-            kept, rows = [], []
-            for row in sigma:
-                if type(row) is tuple and _ints(row):
-                    rows.append(row)
-                else:
-                    row = tuple([exact(x, "matrix entries") for x in row])
-                    rows.append(_int_row(row))
-                kept.append(row)
-            sigma = tuple(kept)
+            # Rows that are already tuples of ints (parse_matrix's) are kept.
+            sigma = tuple([
+                row if type(row) is tuple and _ints(row)
+                else tuple([exact(x, "matrix entries") for x in row])
+                for row in sigma
+            ])
             if len(sigma) != r or any(len(row) != r for row in sigma):
                 raise ValueError(f"sigma must be a {r}x{r} matrix")
-            rank = _rank(rows)
+            rank = matrix_rank(sigma)
             if k is None:
                 k = rank
             elif k != rank:
@@ -95,6 +90,13 @@ def validate_ranks(r: int, k: int | None = None) -> None:
         raise ValueError(f"gluing rank must be >= 2, got {r}")
     if k is not None and not 1 <= k <= r:
         raise ValueError(f"fiber-map rank must satisfy 1 <= k <= r, got k={k}, r={r}")
+
+
+# Bits a packed row's entries may grow by past the largest entry of the
+# primitive rows, and G, the guard bits above them in each slot: a packed
+# step takes m + |f| <= 2**G.
+_HEADROOM = 8
+_GUARD = 8
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
@@ -161,29 +163,13 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
             raise ValueError(
                 f"matrix must be square, got a row of length {len(row)} with {n} rows"
             )
-        rows.append(row if _ints(row) else _int_row([exact(x, "matrix entries") for x in row]))
-    return _rank(rows)
-
-
-def _int_row(entries: Sequence[Fraction | int]) -> list[int]:
-    """Exact entries times the lcm of their denominators, as ints."""
-    scale = math.lcm(*(e.denominator for e in entries))
-    return [e.numerator * (scale // e.denominator) for e in entries]
-
-
-# Bits a packed row's entries may grow by past the largest entry of the
-# primitive rows, and G, the guard bits above them in each slot: a packed
-# step takes m + |f| <= 2**G.
-_HEADROOM = 8
-_GUARD = 8
-
-
-def _rank(rows: list) -> int:
-    """matrix_rank of a nonempty square matrix of int rows.  The list is
-    the kernel's own: it holds the rows of the current step, so no caller
-    keeps the rows of an earlier step alive."""
-    n = cols = len(rows[0])
-    rows[:] = [_primitive(row) for row in rows if any(row)]
+        if not _ints(row):
+            row = [exact(x, "matrix entries") for x in row]
+            scale = math.lcm(*(e.denominator for e in row))
+            row = [e.numerator * (scale // e.denominator) for e in row]
+        if any(row):
+            rows.append(_primitive(row))
+    cols = n
 
     bits = max(map(abs, chain.from_iterable(rows)), default=0).bit_length() + _HEADROOM
     w = bits + 1 + _GUARD

@@ -1,45 +1,35 @@
-"""The classes of the ``bench/`` scripts, checked against references.
+"""``bench/ab.py``: the classes of each layer, checked against references,
+and the A/B driver that times them.
 
-Each script is loaded by path, unchanged, so a fault on any class it times,
-or a script that no longer builds its classes, fails this suite instead of
-the next A/B run:
+The script is loaded by path, unchanged, so a fault on any class it times,
+a layer that no longer builds its classes, or a driver that no longer
+prints its table fails this suite instead of the next A/B run:
 
-- ``bench/matrix_rank.py``: ``matrix_rank`` against the list elimination
-  of ``oracles.list_matrix_rank``;
-- ``bench/parse_matrix.py``: ``parse_matrix`` against the cell-by-cell
-  decoder ``oracles.cellwise_parse_matrix``;
-- ``bench/region_layout.py``: every class builds, and the narrow box's
-  text is the whole-box reference of ``test_cli.whole_box_output``.
+- ``matrix_rank``: ``matrix_rank`` against the list elimination of
+  ``oracles.list_matrix_rank``;
+- ``parse_matrix``: ``parse_matrix`` against the cell-by-cell decoder
+  ``oracles.cellwise_parse_matrix``;
+- ``region_layout``: every class builds, and the narrow box's text is the
+  whole-box reference of ``test_cli.whole_box_output``.
 """
-
-import importlib.util
-from pathlib import Path
 
 import pytest
 
+from by_path import ROOT, load_by_path
 from nodalmoduli import cli
 from nodalmoduli.gluing import matrix_rank, parse_matrix
 from oracles import cellwise_parse_matrix, list_matrix_rank
 from test_cli import whole_box_output
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+AB = load_by_path(ROOT / "bench" / "ab.py", "bench_ab")
 
 # Left out for time: its one 16x16 matrix of 50-digit p/q takes about
 # 0.7 s in each kernel, more than every other class together.
 SLOW = {"dense16-50d"}
 
-
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-CLASSES = _load_script("matrix_rank").classes(1)
-PARSE_CLASSES = _load_script("parse_matrix").classes(1)
-REGION = _load_script("region_layout")
-REGION_CLASSES = REGION.classes(1)
+CLASSES = AB.rank_classes(1)
+PARSE_CLASSES = AB.parse_classes(1)
+REGION_CLASSES = AB.region_classes(1)
 
 
 def test_slow_classes_are_still_built():
@@ -66,7 +56,7 @@ def test_region_classes_are_built():
     for name, boxes in REGION_CLASSES.items():
         (box,) = boxes
         assert name.endswith(box.fmt), name
-    assert REGION_CLASSES["first-json"] == [next(REGION.inputs.region_requests(1))]
+    assert REGION_CLASSES["first-json"] == [next(AB.inputs.region_requests(1))]
     assert REGION_CLASSES["narrow-json"][0].cells == 10_001 * 8
 
 
@@ -77,10 +67,40 @@ def test_region_classes_are_built():
 def test_narrow_box_text_is_the_whole_box_output(fmt):
     (box,) = REGION_CLASSES[f"narrow-{fmt}"]
     box = box._replace(chi1=(-500, 499))
-    got = REGION.laid_out(cli)(box)
+    got = AB.laid_out(cli)(box)
     want = whole_box_output(box.r, box.k, box.chi1, box.chi2, fmt)
     if fmt == "json":
         want = want.partition('"cells": [\n')[2].partition("\n    ]")[0]
     else:
         want = want.partition("\n")[2]
     assert got == want
+
+
+def test_every_layer_names_its_classes_and_a_function_of_the_package():
+    assert list(AB.LAYERS) == ["matrix_rank", "parse_matrix", "region_layout"]
+    package = AB.load(str(ROOT / "src"), "nodalmoduli_bench_test")
+    timed = {layer: fn(package) for layer, (_, fn) in AB.LAYERS.items()}
+    assert timed["matrix_rank"] is package.gluing.matrix_rank
+    assert timed["parse_matrix"] is package.gluing.parse_matrix
+    (box,) = REGION_CLASSES["narrow-csv"]
+    box = box._replace(chi1=(0, 1))
+    assert timed["region_layout"](box) == AB.laid_out(cli)(box)
+
+
+def test_compare_prints_the_header_and_one_row_per_class(capsys, tmp_path):
+    AB.compare(str(tmp_path), str(tmp_path), 3, abs, lambda x: abs(x), {"one": [-2, 5]})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[0].startswith("python ") and lines[0].endswith(", seed 3, 5 ABBA rounds")
+    assert lines[1:3] == [f"A: {tmp_path} @ unknown", f"B: {tmp_path} @ unknown"]
+    assert lines[3].split() == ["class", "A", "median", "[q1-q3]", "ms",
+                                "B", "median", "[q1-q3]", "ms", "B/A", "B", "won"]
+    row = lines[4].split()
+    assert row[0] == "one" and len(row) == 7
+    assert float(row[5]) > 0 and row[6].endswith("/10")
+
+
+def test_negative_control_disagreeing_trees_stop_the_run(capsys, tmp_path):
+    with pytest.raises(SystemExit, match="^one: the trees disagree$"):
+        AB.compare(str(tmp_path), str(tmp_path), 3, abs, lambda x: -abs(x), {"one": [-2, 5]})
+    assert len(capsys.readouterr().out.splitlines()) == 4  # the header, no row

@@ -1,20 +1,17 @@
 """``tools/code_lines.py``: the lines it counts as code in a sample file,
 and its per-module table over a source tree."""
 
-import importlib.util
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+from by_path import ROOT, load_by_path
+
+TOOL = ROOT / "tools" / "code_lines.py"
 
 
 def load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_by_path(TOOL, "code_lines")
 
 
 # Code lines are marked "# code"; every other line is a docstring, a

@@ -2,9 +2,9 @@
 
 ``oracles.list_matrix_rank`` is the kernel as it was before rows were
 packed.  The differential test runs both on generated matrices and traces
-``gluing._rank`` and ``gluing._list_rank`` line by line, so it can count
-how often each path was taken (a packed step, each kind of handoff to the
-list phase, a list step) and how often a packed lead or factor was
+``gluing.matrix_rank`` and ``gluing._list_rank`` line by line, so it can
+count how often each path was taken (a packed step, each kind of handoff
+to the list phase, a list step) and how often a packed lead or factor was
 negative; every path and both values must be reached.  Rows are packed
 once, at the start, which a count of ``gluing._pack`` calls checks.
 Mutants of the kernel are built from its source text, in a module of
@@ -45,8 +45,8 @@ PATHS = (
 # Values the offset digits must decode right, counted like the paths.
 VALUES = ("packed lead < 0", "packed factor < 0")
 
-# The kernel lines whose start marks a path, as written in gluing._rank
-# and gluing._list_rank.
+# The kernel lines whose start marks a path, as written in
+# gluing.matrix_rank and gluing._list_rank.
 PACKED_ZERO_COLUMN = "rows[:] = [row >> w for row in rows]"
 PACKED_PIVOT_TAIL = "pivot_tail = (pivot_row >> w) - off"
 NEGATED_PACKED_PIVOT = "lead, pivot_tail = -lead, -pivot_tail"
@@ -69,11 +69,11 @@ def _digits(y: int, count: int, w: int, offset: int) -> list[int]:
 
 def _traced_rank(module, matrix) -> tuple[int, Counter]:
     """module.matrix_rank(matrix), and how often each of PATHS was taken and
-    each of VALUES held, read off the lines _rank and _list_rank start and
-    their locals there, with "handoff" counting the handoffs.  module is
+    each of VALUES held, read off the lines matrix_rank and _list_rank start
+    and their locals there, with "handoff" counting the handoffs.  module is
     gluing or a mutant of it with the same lines.  A line started again
     right after itself (a comprehension's loop) counts once."""
-    codes = {module._rank.__code__, module._list_rank.__code__}
+    codes = {module.matrix_rank.__code__, module._list_rank.__code__}
     counts = Counter()
     packed_update = [False]  # whether the current packed step updated a row
     last = [None]
@@ -307,9 +307,9 @@ def test_negative_control_list_only_kernel_breaks_the_guard():
 
 
 def _over_one_pack(module, monkeypatch) -> list[str]:
-    """The CASES on which module._rank packs more than n times: once per
-    row of the initial pack, which a kernel that packs nothing later keeps
-    to."""
+    """The CASES on which module.matrix_rank packs more than n times: once
+    per row of the initial pack, which a kernel that packs nothing later
+    keeps to."""
     calls = [0]
     pack = module._pack
 

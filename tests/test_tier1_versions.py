@@ -1,22 +1,18 @@
 """``tools/tier1_versions.py``: it reads the same golden cases as
 ``test_golden.py``, and its corpus run can fail."""
 
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
+from by_path import ROOT, load_by_path
 from test_cli import src_env
 from test_golden import CASES, DIGIT_LIMIT_CASES
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "tier1_versions.py"
+TOOL = ROOT / "tools" / "tier1_versions.py"
 
 
 def load_tool():
-    spec = importlib.util.spec_from_file_location("tier1_versions", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_by_path(TOOL, "tier1_versions")
 
 
 def test_reads_the_golden_cases_without_importing_them():

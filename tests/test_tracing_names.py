@@ -7,19 +7,15 @@ name fails this suite instead of the traced benchmark run.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
+from by_path import ROOT, load_by_path
 from nodalmoduli import feasibility
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_by_path(TRACING, "perfbench_tracing")
 
 
 def _unresolved(tracing) -> list[tuple[str, str]]:
