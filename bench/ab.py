@@ -53,7 +53,10 @@ The classes of ``region_layout`` hold one box each:
   LATER requests after it, for the given seed;
 - ``narrow-json`` and ``narrow-csv``: the 10,001 x 8 box r = 4, k = 2,
   chi1 -5000..5000, chi2 0..7, whose rows are cut into runs of one to
-  four cells, narrower than any row of region-box.
+  four cells, narrower than any row of region-box;
+- ``tall-json`` and ``tall-csv``: the 100,000 x 1 box r = 3, k = 2,
+  chi1 -50000..49999, chi2 0..0, one cell per row, where the per-row cost
+  of the writer is paid once per cell.
 
 Before a class is timed, both trees run on each of its inputs, and the
 script stops if they return different results.  Then the trees run in the
@@ -93,6 +96,7 @@ ROUNDS = 5
 LATER = 400
 
 NARROW = (4, 2, (-5000, 5000), (0, 7))
+TALL = (3, 2, (-50000, 49999), (0, 0))
 
 
 def load(src: str, name: str):
@@ -228,8 +232,9 @@ def region_classes(seed: int) -> dict[str, list]:
     for fmt in ("json", "csv"):
         out[f"largest-{fmt}"] = [max((b for b in by_size if b.fmt == fmt), key=lambda b: b.cells)]
     out[f"median-{median.fmt}"] = [median]
-    for fmt in ("json", "csv"):
-        out[f"narrow-{fmt}"] = [inputs.Region(*NARROW, fmt)]
+    for shape, box in (("narrow", NARROW), ("tall", TALL)):
+        for fmt in ("json", "csv"):
+            out[f"{shape}-{fmt}"] = [inputs.Region(*box, fmt)]
     return out
 
 

@@ -133,6 +133,27 @@ def check_sufficiency(
     stability upgrade of the component hypotheses.
 
     Returns (holds, witness); the witness is the first violating invariant.
+
+    Past the compatibility check the search finds no witness.  Write
+    w1 = p/q with q > 0, and chi = chi1 + chi2 - r.  As w1 s1 + w2 s2 > 0, a
+    shape (s, s1, s2) with degrees (M1, M2) beats chi/r exactly when
+
+        A(s1) + B(s2) + r q s > 0    (>= 0 when strict),
+
+    where A(s1) = r q (M1 + s1 (1 - g1)) - chi p s1 and
+    B(s2) = r q (M2 + s2 (1 - g2)) - chi (q - p) s2, an absent side
+    counting 0.  Bound each floor of :func:`max_degree_bounds` by its
+    argument: r M1 <= s1 (d1 - k) and r M2 <= s2 (d2 - 2r).  With
+    di = chii - r (1 - gi), g1 and g2 cancel, leaving
+    A <= q s1 (chi1 - k - chi w1) and B <= q s2 (chi2 - 2r - chi w2).  The
+    check's two inequalities, chi1 - k <= chi w1 and chi2 <= chi w2 + r,
+    give A <= 0 and B <= -q r s2, so the sum is at most q r (s - s2) <= 0,
+    as s <= s2.  In strict mode each floor is of its argument less one, so
+    each side that is present lowers the bound by a further q, and the sum
+    is negative.  So once the check passes the result is (True, None).
+    Acceptance criterion 5 (``test_criterion_5_sufficiency_no_witnesses``)
+    and ``test_stability``'s ``test_no_witness_on_feasible_sweep`` check
+    this on sweeps of feasible data.
     """
     datum = h.gluing()
     violated = violated_conditions(datum, w)

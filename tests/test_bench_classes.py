@@ -9,8 +9,8 @@ prints its table fails this suite instead of the next A/B run:
   ``oracles.list_matrix_rank``;
 - ``parse_matrix``: ``parse_matrix`` against the cell-by-cell decoder
   ``oracles.cellwise_parse_matrix``;
-- ``region_layout``: every class builds, and the narrow box's text is the
-  whole-box reference of ``test_cli.whole_box_output``.
+- ``region_layout``: every class builds, and the narrow and tall boxes'
+  text is the whole-box reference of ``test_cli.whole_box_output``.
 """
 
 import pytest
@@ -52,27 +52,38 @@ def test_region_classes_are_built():
     names = list(REGION_CLASSES)
     assert names[:3] == ["first-json", "largest-json", "largest-csv"]
     assert names[3] in ("median-json", "median-csv")
-    assert names[4:] == ["narrow-json", "narrow-csv"]
+    assert names[4:] == ["narrow-json", "narrow-csv", "tall-json", "tall-csv"]
     for name, boxes in REGION_CLASSES.items():
         (box,) = boxes
         assert name.endswith(box.fmt), name
     assert REGION_CLASSES["first-json"] == [next(AB.inputs.region_requests(1))]
     assert REGION_CLASSES["narrow-json"][0].cells == 10_001 * 8
+    assert REGION_CLASSES["tall-csv"][0].cells == 100_000
 
 
-# The whole narrow box takes about 4 s in the reference, so its 1,000 rows
-# around chi1 = 0 are checked: they hold every case of a row's cuts, where
-# its first 1,000 rows all have chi1 < 0.
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_narrow_box_text_is_the_whole_box_output(fmt):
-    (box,) = REGION_CLASSES[f"narrow-{fmt}"]
+# A whole box takes seconds in the reference, so its 1,000 rows around
+# chi1 = 0 are checked: they cross chi1 = 0 and chi1 = k, and so hold every
+# case of a row's cuts, where its first 1,000 rows all have chi1 < 0.
+def texts_around_zero(name):
+    (box,) = REGION_CLASSES[name]
     box = box._replace(chi1=(-500, 499))
-    got = AB.laid_out(cli)(box)
-    want = whole_box_output(box.r, box.k, box.chi1, box.chi2, fmt)
-    if fmt == "json":
+    want = whole_box_output(box.r, box.k, box.chi1, box.chi2, box.fmt)
+    if box.fmt == "json":
         want = want.partition('"cells": [\n')[2].partition("\n    ]")[0]
     else:
         want = want.partition("\n")[2]
+    return AB.laid_out(cli)(box), want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_narrow_box_text_is_the_whole_box_output(fmt):
+    got, want = texts_around_zero(f"narrow-{fmt}")
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tall_box_text_is_the_whole_box_output(fmt):
+    got, want = texts_around_zero(f"tall-{fmt}")
     assert got == want
 
 

@@ -26,7 +26,7 @@ from nodalmoduli.rationals import format_rational, short_repr
 from nodalmoduli.stability import StabilityHypotheses, check_sufficiency
 from test_gluing import _rank_t_core, _scaled_matrix
 from oracles import DEFAULT_DIGIT_LIMIT, needs_default_digit_limit
-from test_golden import CASES, DIGIT_LIMIT_CASES, GOLDEN, run_case
+from golden_cases import CASES, DIGIT_LIMIT_CASES, GOLDEN, compared
 
 
 def run(capsys, *argv):
@@ -856,7 +856,7 @@ class TestParserReuse:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
 
-    def test_reused_parser_reproduces_the_golden_corpus(self, capsys, monkeypatch):
+    def test_reused_parser_reproduces_the_golden_corpus(self, capsys):
         build_parser.cache_clear()
         assert run(capsys, "feasible", "--r", "2")[0] == 2
         assert run(capsys, "feasible", "--r", "2", "--k", "5", "--chi1", "0",
@@ -865,11 +865,8 @@ class TestParserReuse:
         names = [name for name in sorted(CASES, reverse=True)
                  if DEFAULT_DIGIT_LIMIT or name not in DIGIT_LIMIT_CASES]
         for name in names * 2:
-            code, out, err = run_case(name, capsys, monkeypatch)
-            assert code == CASES[name][1], name
-            assert out == (GOLDEN / f"{name}.out").read_bytes(), name
-            if code == 2:
-                assert err == (GOLDEN / f"{name}.err").read_bytes(), name
+            got, recorded = compared(name)
+            assert got == recorded, name
 
     def test_usage_text_follows_columns_at_print_time(self, capsys, monkeypatch):
         argv = ["region", "--r", "2", "--k", "1", "--chi1", "1", "--chi2", "0:1"]
@@ -1021,12 +1018,10 @@ def test_negative_control_plain_space_class_is_caught():
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(nodalmoduli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "nodalmoduli", "dims", "--g1", "2", "--g2", "3", "--r", "4"],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=src_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

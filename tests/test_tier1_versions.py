@@ -1,29 +1,34 @@
-"""``tools/tier1_versions.py``: it reads the same golden cases as
-``test_golden.py``, and its corpus run can fail."""
+"""``tools/tier1_versions.py``: its corpus run, through ``golden_cases.run``,
+can fail, and an interpreter that cannot run fails alone."""
 
 import subprocess
 import sys
 
-from by_path import ROOT, load_by_path
+from by_path import ROOT
+from golden_cases import DIGIT_LIMIT_CASES
 from test_cli import src_env
-from test_golden import CASES, DIGIT_LIMIT_CASES
 
 TOOL = ROOT / "tools" / "tier1_versions.py"
 
 
-def load_tool():
-    return load_by_path(TOOL, "tier1_versions")
-
-
-def test_reads_the_golden_cases_without_importing_them():
-    assert load_tool().golden_names() == (CASES, DIGIT_LIMIT_CASES)
+def negative_control(*pythons):
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--negative-control", *pythons],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
 
 
 def test_negative_control_fails_exactly_the_digit_limit_cases():
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--negative-control", sys.executable],
-        capture_output=True, text=True, env=src_env(), timeout=300,
-    )
+    proc = negative_control(sys.executable)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("PASS ")
     assert f"{len(DIGIT_LIMIT_CASES)} golden cases fail" in proc.stdout
+
+
+def test_an_interpreter_that_cannot_run_fails_and_the_next_is_checked():
+    proc = negative_control("/bin/false", sys.executable)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    fail, passed = proc.stdout.splitlines()
+    assert fail == "FAIL /bin/false: no output"
+    assert passed.startswith(f"PASS {sys.executable} ")

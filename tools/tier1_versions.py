@@ -4,32 +4,28 @@ pytest cannot be imported.
     python3 tools/tier1_versions.py [--negative-control] PYTHON...
 
 Each PYTHON runs from the repository root with PYTHONPATH=src:SITE, where
-SITE, the site-packages of the Python running this script, lends it the
-pure-Python test dependencies: pytest, hypothesis and sympy.
-
-- A PYTHON that can import pytest that way runs tier-1,
-  ``python -m pytest -q --continue-on-collection-errors``.
-- Any other PYTHON runs every case of ``tests/test_golden.py`` through
-  ``cli.main`` in process, comparing exit code and output bytes with
-  ``tests/golden/``, and runs the scripts in ``demos/``, comparing their
-  stdout with the stdout of the Python running this script.
-
-``--negative-control`` runs the golden corpus on each PYTHON with
+SITE, the site-packages of the Python running this script, lends it
+pytest, hypothesis and sympy.  A PYTHON that can import pytest that way
+runs tier-1, ``python -m pytest -q --continue-on-collection-errors``.  Any
+other runs the golden corpus in process through the runner of
+``tests/golden_cases.py``, and the scripts in ``demos/``, whose stdout must
+match this Python's.  ``--negative-control`` runs the corpus alone with
 PYTHONINTMAXSTRDIGITS=0, which lifts the limit on the digits int()
-converts; it passes when exactly the cases of ``DIGIT_LIMIT_CASES`` fail.
+converts, and passes when exactly ``DIGIT_LIMIT_CASES`` fail.
 
-One line per PYTHON is printed; the exit code is 1 when any of them fails.
-Only the standard library is needed.  ``--golden`` is the in-process
-corpus run itself, which prints the names of the failing cases as JSON.
+One line per PYTHON is printed, and the exit code is 1 when any fails.  A
+PYTHON that cannot run gets a FAIL line with the last line of its stderr,
+or "no output", and the next is checked.  ``--golden`` is the corpus run
+itself, which prints the failing cases as JSON.  Only the standard library
+is needed.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
-import contextlib
-import io
+import importlib.util
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -37,51 +33,19 @@ import sysconfig
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def golden_names() -> tuple[dict, set]:
-    """CASES and DIGIT_LIMIT_CASES of tests/test_golden.py, read without
-    importing it (it imports pytest).  Both are built of literals and
-    operators alone."""
-    tree = ast.parse((ROOT / "tests" / "test_golden.py").read_text())
-    found = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            name = node.targets[0].id
-            if name in ("CASES", "DIGIT_LIMIT_CASES"):
-                code = compile(ast.Expression(node.value), "test_golden.py", "eval")
-                found[name] = eval(code, {"__builtins__": {}})
-    return found["CASES"], found["DIGIT_LIMIT_CASES"]
+class CannotRun(Exception):
+    """A child Python failed or printed nothing."""
 
 
-def run_golden() -> list[str]:
-    """The names of the golden cases whose exit code or output differs, run
-    as tests/test_golden.py runs them."""
-    from nodalmoduli.cli import main
-
-    cases, _ = golden_names()
-    os.chdir(GOLDEN)
-    failed = []
-    for name, (argv, code, env) in sorted(cases.items()):
-        saved = dict(os.environ)
-        os.environ["COLUMNS"] = "80"
-        os.environ.pop("NODAL_MODULI_MAX_CELLS", None)
-        os.environ.update(env)
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                got = main(list(argv))
-        finally:
-            os.environ.clear()
-            os.environ.update(saved)
-        ok = got == code and out.getvalue().encode() == (GOLDEN / f"{name}.out").read_bytes()
-        if ok and code == 2:
-            ok = err.getvalue().encode() == (GOLDEN / f"{name}.err").read_bytes()
-        if not ok:
-            failed.append(name)
-    return failed
+def load_corpus():
+    """tests/golden_cases.py, loaded by its path: the corpus and its one runner."""
+    spec = importlib.util.spec_from_file_location("golden_cases", ROOT / "tests" / "golden_cases.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
 
 
 def child(python: str, args: list[str], env: dict, **kwargs) -> subprocess.CompletedProcess:
@@ -91,11 +55,17 @@ def child(python: str, args: list[str], env: dict, **kwargs) -> subprocess.Compl
     )
 
 
+def child_stdout(python: str, args: list[str], env: dict) -> str:
+    """python's stdout on args.  A run that fails or prints nothing raises
+    CannotRun with its last line of stderr, or "no output"."""
+    proc = child(python, args, env)
+    if proc.returncode or not proc.stdout.strip():
+        raise CannotRun((proc.stderr.strip().splitlines() or ["no output"])[-1].strip())
+    return proc.stdout
+
+
 def golden_failures(python: str, env: dict) -> list[str]:
-    proc = child(python, [__file__, "--golden"], env)
-    if proc.returncode:
-        raise RuntimeError(proc.stderr.strip().splitlines()[-1])
-    return json.loads(proc.stdout)
+    return json.loads(child_stdout(python, [__file__, "--golden"], env))
 
 
 def demo_failures(python: str, env: dict) -> list[str]:
@@ -107,19 +77,17 @@ def demo_failures(python: str, env: dict) -> list[str]:
     ]
 
 
-def check(python: str, negative_control: bool) -> tuple[bool, str]:
-    """(passed, summary) for one interpreter."""
+def check(python: str, corpus, negative_control: bool) -> tuple[bool, str]:
+    """(passed, summary) for one interpreter; raises OSError or CannotRun
+    when it cannot run."""
     site = sysconfig.get_paths()["purelib"]
     env = {"PYTHONPATH": os.pathsep.join([str(ROOT / "src"), site])}
-    try:
-        version = child(python, ["-c", "import sys; print(sys.version.split()[0])"], env)
-    except OSError as exc:
-        return False, f"{python}: {exc}"
-    label = f"{python} ({version.stdout.strip()})"
+    version = child_stdout(python, ["-c", "import sys; print(sys.version.split()[0])"], env)
+    label = f"{python} ({version.strip()})"
     if negative_control:
-        _, digit_cases = golden_names()
-        failed = golden_failures(python, {**env, "PYTHONINTMAXSTRDIGITS": "0"})
-        passed = set(failed) == digit_cases
+        env["PYTHONINTMAXSTRDIGITS"] = "0"
+        failed = golden_failures(python, env)
+        passed = set(failed) == corpus.DIGIT_LIMIT_CASES
         return passed, f"{label}: with no digit limit {len(failed)} golden cases fail: {failed}"
     if child(python, ["-c", "import pytest"], env).returncode == 0:
         proc = child(
@@ -130,7 +98,7 @@ def check(python: str, negative_control: bool) -> tuple[bool, str]:
         return proc.returncode == 0, f"{label}: tier-1 {lines[-1] if lines else proc.stderr}"
     failed = golden_failures(python, env)
     demos = demo_failures(python, env)
-    cases = len(golden_names()[0])
+    cases = len(corpus.CASES)
     summary = (
         f"{label}: pytest not importable; golden {cases - len(failed)}/{cases} "
         f"(failed: {failed}), demos {len(DEMOS) - len(demos)}/{len(DEMOS)} (differ: {demos})"
@@ -144,14 +112,18 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--negative-control", action="store_true")
     parser.add_argument("--golden", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    corpus = load_corpus()
     if args.golden:
-        print(json.dumps(run_golden()))
+        print(json.dumps([name for name in sorted(corpus.CASES) if operator.ne(*corpus.compared(name))]))
         return 0
     if not args.pythons:
         parser.error("name at least one PYTHON")
     ok = True
     for python in args.pythons:
-        passed, summary = check(python, args.negative_control)
+        try:
+            passed, summary = check(python, corpus, args.negative_control)
+        except (OSError, CannotRun) as exc:
+            passed, summary = False, f"{python}: {exc}"
         print(("PASS " if passed else "FAIL ") + summary, flush=True)
         ok &= passed
     return 0 if ok else 1
