@@ -57,6 +57,10 @@ The classes of ``region_layout`` hold one box each:
 - ``tall-json`` and ``tall-csv``: the 100,000 x 1 box r = 3, k = 2,
   chi1 -50000..49999, chi2 0..0, one cell per row, where the per-row cost
   of the writer is paid once per cell.
+- ``far-json`` and ``far-csv``: the 300 x 300 box r = 3, k = 2,
+  chi1 2,000,000..2,000,299, chi2 1,100..1,399, whose cells all have two
+  closed ends and print every chi2, numerator and denominator at 1,024 or
+  more, past the writer's table of int texts, so they are all formatted.
 
 Before a class is timed, both trees run on each of its inputs, and the
 script stops if they return different results.  Then the trees run in the
@@ -97,6 +101,7 @@ LATER = 400
 
 NARROW = (4, 2, (-5000, 5000), (0, 7))
 TALL = (3, 2, (-50000, 49999), (0, 0))
+FAR = (3, 2, (2_000_000, 2_000_299), (1_100, 1_399))
 
 
 def load(src: str, name: str):
@@ -232,7 +237,7 @@ def region_classes(seed: int) -> dict[str, list]:
     for fmt in ("json", "csv"):
         out[f"largest-{fmt}"] = [max((b for b in by_size if b.fmt == fmt), key=lambda b: b.cells)]
     out[f"median-{median.fmt}"] = [median]
-    for shape, box in (("narrow", NARROW), ("tall", TALL)):
+    for shape, box in (("narrow", NARROW), ("tall", TALL), ("far", FAR)):
         for fmt in ("json", "csv"):
             out[f"{shape}-{fmt}"] = [inputs.Region(*box, fmt)]
     return out

@@ -160,6 +160,12 @@ def _csv_row(chi1, chi2, lower, upper, lower_open, upper_open) -> str:
 # the closed endpoints.
 _SLOT = "\0"
 
+# str(i) for -_TEXTS_N <= i < _TEXTS_N, at _TEXTS[i]: negative indices wrap
+# into the second half.  _run_text reads the ints of a cell with a closed
+# end from it when in range: a lookup costs less than formatting the int.
+_TEXTS_N = 1024
+_TEXTS = [*map(str, range(_TEXTS_N)), *map(str, range(-_TEXTS_N, 0))]
+
 
 def _shapes(layout) -> dict:
     """layout's text of each interval shape, cut at its slots: keyed by the
@@ -208,25 +214,30 @@ def _run_text(pieces, ends, chi2s, den, step, sep: str) -> str:
     Without a closed end the cells differ in chi2 alone, so they are one
     join over the chi2 values.  A closed endpoint lies strictly inside
     (0, 1), so it is never an integer, and its "p/q" is written from one gcd
-    per cell.
+    per cell.  chi2 and the p and q of each "p/q" are read from _TEXTS when
+    in its range and formatted otherwise; p and q are positive, so they
+    are compared with its upper end alone.
     """
     if not ends:
         head, tail = pieces
         return head + (tail + sep + head).join(map(str, chi2s)) + tail
     dens = range(den, den + step * len(chi2s), step)
+    T, N = _TEXTS, _TEXTS_N
     if len(ends) == 1:
         head, mid, tail = pieces
         (e,) = ends
         return sep.join([
-            f"{head}{c}{mid}{e // (g := math.gcd(e, d))}/{d // g}{tail}"
-            for c, d in zip(chi2s, dens)
+            f"{head}{T[c] if c < N and c >= -N else c}{mid}{T[x] if (x := e // g) < N else x}/"
+            f"{T[y] if (y := d // g) < N else y}{tail}"
+            for c, d in zip(chi2s, dens) for g in [math.gcd(e, d)]
         ])
     head, mid1, mid2, tail = pieces
     lo, hi = ends
     return sep.join([
-        f"{head}{c}{mid1}{lo // (g := math.gcd(lo, d))}/{d // g}"
-        f"{mid2}{hi // (h := math.gcd(hi, d))}/{d // h}{tail}"
-        for c, d in zip(chi2s, dens)
+        f"{head}{T[c] if c < N and c >= -N else c}{mid1}{T[x] if (x := lo // g) < N else x}/"
+        f"{T[y] if (y := d // g) < N else y}{mid2}{T[x] if (x := hi // h) < N else x}/"
+        f"{T[y] if (y := d // h) < N else y}{tail}"
+        for c, d in zip(chi2s, dens) for g in [math.gcd(lo, d)] for h in [math.gcd(hi, d)]
     ])
 
 

@@ -9,8 +9,9 @@ prints its table fails this suite instead of the next A/B run:
   ``oracles.list_matrix_rank``;
 - ``parse_matrix``: ``parse_matrix`` against the cell-by-cell decoder
   ``oracles.cellwise_parse_matrix``;
-- ``region_layout``: every class builds, and the narrow and tall boxes'
-  text is the whole-box reference of ``test_cli.whole_box_output``.
+- ``region_layout``: every class builds, the narrow, tall and far boxes'
+  text is the whole-box reference of ``test_cli.whole_box_output``, and the
+  far box prints no int that the writer reads from its table.
 """
 
 import pytest
@@ -19,7 +20,7 @@ from by_path import ROOT, load_by_path
 from nodalmoduli import cli
 from nodalmoduli.gluing import matrix_rank, parse_matrix
 from oracles import cellwise_parse_matrix, list_matrix_rank
-from test_cli import whole_box_output
+from test_cli import _printed_ints, whole_box_output
 
 AB = load_by_path(ROOT / "bench" / "ab.py", "bench_ab")
 
@@ -52,21 +53,23 @@ def test_region_classes_are_built():
     names = list(REGION_CLASSES)
     assert names[:3] == ["first-json", "largest-json", "largest-csv"]
     assert names[3] in ("median-json", "median-csv")
-    assert names[4:] == ["narrow-json", "narrow-csv", "tall-json", "tall-csv"]
+    assert names[4:] == [
+        "narrow-json", "narrow-csv", "tall-json", "tall-csv", "far-json", "far-csv",
+    ]
     for name, boxes in REGION_CLASSES.items():
         (box,) = boxes
         assert name.endswith(box.fmt), name
     assert REGION_CLASSES["first-json"] == [next(AB.inputs.region_requests(1))]
     assert REGION_CLASSES["narrow-json"][0].cells == 10_001 * 8
     assert REGION_CLASSES["tall-csv"][0].cells == 100_000
+    assert REGION_CLASSES["far-json"][0].cells == 300 * 300
 
 
-# A whole box takes seconds in the reference, so its 1,000 rows around
-# chi1 = 0 are checked: they cross chi1 = 0 and chi1 = k, and so hold every
-# case of a row's cuts, where its first 1,000 rows all have chi1 < 0.
-def texts_around_zero(name):
+def texts(name, chi1):
+    """The writer's text and the whole-box reference for the rows chi1 of
+    the box of class name: a whole box takes seconds in the reference."""
     (box,) = REGION_CLASSES[name]
-    box = box._replace(chi1=(-500, 499))
+    box = box._replace(chi1=chi1)
     want = whole_box_output(box.r, box.k, box.chi1, box.chi2, box.fmt)
     if box.fmt == "json":
         want = want.partition('"cells": [\n')[2].partition("\n    ]")[0]
@@ -75,16 +78,32 @@ def texts_around_zero(name):
     return AB.laid_out(cli)(box), want
 
 
+# The 1,000 rows around chi1 = 0 cross chi1 = 0 and chi1 = k, and so hold
+# every case of a row's cuts, where the first 1,000 rows all have chi1 < 0.
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_narrow_box_text_is_the_whole_box_output(fmt):
-    got, want = texts_around_zero(f"narrow-{fmt}")
+    got, want = texts(f"narrow-{fmt}", (-500, 499))
     assert got == want
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_tall_box_text_is_the_whole_box_output(fmt):
-    got, want = texts_around_zero(f"tall-{fmt}")
+    got, want = texts(f"tall-{fmt}", (-500, 499))
     assert got == want
+
+
+# Every cell of the far box has the same shape, so its first rows will do.
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_far_box_text_is_the_whole_box_output(fmt):
+    got, want = texts(f"far-{fmt}", (2_000_000, 2_000_004))
+    assert got == want
+
+
+def test_far_box_prints_every_int_past_the_table():
+    (box,) = REGION_CLASSES["far-csv"]
+    printed = _printed_ints([(box.r, box.k, box.chi1, box.chi2)])
+    assert set(printed) == {(2, "chi2"), (2, 0, "p"), (2, 0, "q"), (2, 1, "p"), (2, 1, "q")}
+    assert min(abs(x) for ints in printed.values() for x in ints) >= cli._TEXTS_N
 
 
 def test_every_layer_names_its_classes_and_a_function_of_the_package():

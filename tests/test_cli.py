@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gc
+import itertools
 import json
 import os
 import random
@@ -377,8 +378,19 @@ def _seeded_boxes(n):
         yield r, k, ranges[0], ranges[1]
 
 
-# Special boxes: empty either way, one cell, one cell at chi = 0, and boxes
-# longer than one write batch in each direction.
+# Boxes whose closed-end cells print ints on both sides of -N and N, N =
+# cli._TEXTS_N, the edges of the table the writer reads them from: chi2 runs
+# over -N - 1..N, and each numerator and denominator of a "p/q" takes N - 1
+# and N in some cell.  Every cell of the first has two closed ends (chi < 0,
+# chi1 < 0, chi2 < r - k), every cell of the second one (0 <= chi1 < k); no
+# one box can do both, as the two kinds need rows about N apart.
+TABLE_EDGE_BOXES = [
+    (1030, 1, (-1024, -1022), (-1025, 1024)),
+    (2049, 1024, (0, 1), (-1025, 1024)),
+]
+
+# Special boxes: empty either way, one cell, one cell at chi = 0, boxes
+# longer than one write batch in each direction, and the table's edges.
 EDGE_BOXES = [
     (2, 1, (3, 1), (0, 1)),
     (2, 1, (0, 1), (5, -5)),
@@ -387,26 +399,34 @@ EDGE_BOXES = [
     (3, 1, (-1200, 1300), (2, 2)),
     (5, 5, (0, 0), (-1500, 1000)),
     (2, 2, (-22, 22), (-22, 22)),
+    *TABLE_EDGE_BOXES,
 ]
+
+
+def _first_mismatch(capsys, boxes, fmt):
+    """The first of boxes whose region output in fmt differs from
+    whole_box_output's, or None.  Every run must succeed."""
+    for r, k, (lo1, hi1), (lo2, hi2) in boxes:
+        code, out, _ = run(
+            capsys, "region", "--r", str(r), "--k", str(k),
+            f"--chi1={lo1}:{hi1}", f"--chi2={lo2}:{hi2}", "--format", fmt,
+        )
+        assert code == 0
+        if out != whole_box_output(r, k, (lo1, hi1), (lo2, hi2), fmt):
+            return r, k, (lo1, hi1), (lo2, hi2)
+    return None
 
 
 class TestRegionStreaming:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_bytes_match_the_whole_box_output(self, capsys, fmt):
         boxes = list(_seeded_boxes(200)) + EDGE_BOXES
-        chi0_cells = 0
-        for r, k, (lo1, hi1), (lo2, hi2) in boxes:
-            code, out, _ = run(
-                capsys, "region", "--r", str(r), "--k", str(k),
-                f"--chi1={lo1}:{hi1}", f"--chi2={lo2}:{hi2}", "--format", fmt,
-            )
-            assert code == 0
-            assert out == whole_box_output(r, k, (lo1, hi1), (lo2, hi2), fmt), (
-                r, k, lo1, hi1, lo2, hi2,
-            )
-            chi0_cells += sum(
-                lo2 <= r - chi1 <= hi2 for chi1 in range(lo1, hi1 + 1)
-            )
+        assert _first_mismatch(capsys, boxes, fmt) is None
+        chi0_cells = sum(
+            lo2 <= r - chi1 <= hi2
+            for r, k, (lo1, hi1), (lo2, hi2) in boxes
+            for chi1 in range(lo1, hi1 + 1)
+        )
         assert chi0_cells > 0
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -531,14 +551,8 @@ class TestRegionEncoders:
             )
 
         monkeypatch.setattr(cli, "_laid_out", swapped)
-        for r, k, (lo1, hi1), (lo2, hi2) in EDGE_BOXES + list(_seeded_boxes(200)):
-            _, out, _ = run(
-                capsys, "region", "--r", str(r), "--k", str(k),
-                f"--chi1={lo1}:{hi1}", f"--chi2={lo2}:{hi2}", "--format", fmt,
-            )
-            if out != whole_box_output(r, k, (lo1, hi1), (lo2, hi2), fmt):
-                return
-        pytest.fail("swapped openness went unnoticed")
+        boxes = EDGE_BOXES + list(_seeded_boxes(200))
+        assert _first_mismatch(capsys, boxes, fmt) is not None, "swapped openness went unnoticed"
 
 
 # A box of several hundred runs, all five interval shapes among them.
@@ -588,6 +602,72 @@ class TestShapesLaidOutOnce:
         loop = "    for chi1, first, last, bounds, step in runs:\n"
         mutant = _cli_mutant(loop, loop + "        shapes = _shapes(layout)\n")
         assert _layout_calls(mutant, fmt) > 5
+
+
+def _printed_ints(boxes) -> dict:
+    """The ints the closed-end cells of boxes print, by where: keyed by
+    (closed ends, "chi2") and by (closed ends, end, "p" or "q") for the
+    numerator and denominator of each closed end, lower first."""
+    printed = {}
+    for r, k, (lo1, hi1), (lo2, hi2) in boxes:
+        for chi1, chi2 in itertools.product(range(lo1, hi1 + 1), range(lo2, hi2 + 1)):
+            interval = feasible_interval(r, k, chi1, chi2).w1_interval
+            # An infeasible cell's interval is the open (0, 0).
+            ends = [] if interval.lower_open else [interval.lower]
+            ends += [] if interval.upper_open else [interval.upper]
+            if not ends:
+                continue
+            printed.setdefault((len(ends), "chi2"), set()).add(chi2)
+            for end, value in enumerate(ends):
+                printed.setdefault((len(ends), end, "p"), set()).add(value.numerator)
+                printed.setdefault((len(ends), end, "q"), set()).add(value.denominator)
+    return printed
+
+
+# Each guard of _run_text written <=, which reads "-N" from the table for N.
+GUARDS_WITH_LE = {
+    "one-end chi2": ("c < N and c >= -N else c}{mid}", "c <= N and c >= -N else c}{mid}"),
+    "one-end p": ("(x := e // g) < N", "(x := e // g) <= N"),
+    "one-end q": ("(y := d // g) < N else y}{tail}", "(y := d // g) <= N else y}{tail}"),
+    "two-end chi2": ("c < N and c >= -N else c}{mid1}", "c <= N and c >= -N else c}{mid1}"),
+    "two-end lower p": ("(x := lo // g) < N", "(x := lo // g) <= N"),
+    "two-end lower q": ("(y := d // g) < N else y}{mid2}", "(y := d // g) <= N else y}{mid2}"),
+    "two-end upper p": ("(x := hi // h) < N", "(x := hi // h) <= N"),
+    "two-end upper q": ("(y := d // h) < N", "(y := d // h) <= N"),
+}
+
+# The table one entry short at either end.
+SHORT_TABLES = {
+    "short-top": ("range(_TEXTS_N)), *map", "range(_TEXTS_N - 1)), *map"),
+    "short-bottom": ("range(-_TEXTS_N, 0)", "range(-_TEXTS_N + 1, 0)"),
+}
+
+
+class TestIntTexts:
+    def test_table_holds_str_of_each_index(self):
+        n = cli._TEXTS_N
+        assert len(cli._TEXTS) == 2 * n
+        assert all(cli._TEXTS[i] == str(i) for i in range(-n, n))
+
+    def test_table_edge_boxes_print_ints_at_both_edges(self):
+        n = cli._TEXTS_N
+        printed = _printed_ints(TABLE_EDGE_BOXES)
+        assert set(printed) == {
+            (1, "chi2"), (1, 0, "p"), (1, 0, "q"),
+            (2, "chi2"), (2, 0, "p"), (2, 0, "q"), (2, 1, "p"), (2, 1, "q"),
+        }
+        for where, ints in printed.items():
+            edges = {-n - 1, -n, n - 1, n} if "chi2" in where else {n - 1, n}
+            assert edges <= ints, where
+
+    @pytest.mark.parametrize("fmt", LAYOUTS)
+    @pytest.mark.parametrize("edit", [*SHORT_TABLES.values(), *GUARDS_WITH_LE.values()],
+                             ids=[*SHORT_TABLES, *GUARDS_WITH_LE])
+    def test_negative_control_broken_table_or_guard_changes_the_bytes(
+        self, capsys, monkeypatch, fmt, edit
+    ):
+        monkeypatch.setattr(cli, "_run_text", _cli_mutant(*edit)._run_text)
+        assert _first_mismatch(capsys, TABLE_EDGE_BOXES, fmt) is not None
 
 
 def src_env():

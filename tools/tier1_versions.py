@@ -9,9 +9,10 @@ pytest, hypothesis and sympy.  A PYTHON that can import pytest that way
 runs tier-1, ``python -m pytest -q --continue-on-collection-errors``.  Any
 other runs the golden corpus in process through the runner of
 ``tests/golden_cases.py``, and the scripts in ``demos/``, whose stdout must
-match this Python's.  ``--negative-control`` runs the corpus alone with
-PYTHONINTMAXSTRDIGITS=0, which lifts the limit on the digits int()
-converts, and passes when exactly ``DIGIT_LIMIT_CASES`` fail.
+match this Python's.  ``--negative-control``, written before, between or
+after the PYTHONs, runs the corpus alone with PYTHONINTMAXSTRDIGITS=0, which
+lifts the limit on the digits int() converts, and passes when exactly
+``DIGIT_LIMIT_CASES`` fail.
 
 One line per PYTHON is printed, and the exit code is 1 when any fails.  A
 PYTHON that cannot run gets a FAIL line with the last line of its stderr,
@@ -111,7 +112,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("pythons", nargs="*", metavar="PYTHON")
     parser.add_argument("--negative-control", action="store_true")
     parser.add_argument("--golden", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     corpus = load_corpus()
     if args.golden:
         print(json.dumps([name for name in sorted(corpus.CASES) if operator.ne(*corpus.compared(name))]))
