@@ -6,7 +6,8 @@ LAYER is ``matrix_rank``, ``parse_matrix`` or ``region_layout``.  A_SRC and
 B_SRC are the ``src`` directories of two checkouts (the same one twice
 gives the noise floor).  Each tree's package is loaded under its own name,
 so both run in one process on the same inputs.  SEED (default 1) fixes the
-inputs.  Each layer times one function of a tree on its own classes:
+inputs.  ``LAYERS`` maps each layer to its classes and the function it
+times, so a new layer is one more entry there.  The layers:
 
 - ``matrix_rank``: ``gluing.matrix_rank`` on matrices;
 - ``parse_matrix``: ``gluing.parse_matrix`` on matrices of cells as

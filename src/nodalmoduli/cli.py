@@ -2,8 +2,8 @@
 
 Every command prints one JSON document (sorted keys) holding the command
 name, its inputs, the structured outputs, and any warnings; the scan-type
-commands can emit CSV instead.  Rational inputs are accepted only as "p/q"
-or integer strings, never decimals.
+commands can emit CSV instead, with each warning on stderr.  Rational
+inputs are accepted only as "p/q" or integer strings, never decimals.
 
 Exit codes: 0 success; 1 domain error (structured error JSON on stdout);
 2 usage error (argparse message on stderr).
@@ -321,6 +321,8 @@ def _cmd_components(args) -> None:
             "both boundary values included"
         )
     if args.format == "csv":
+        for warning in warnings:  # CSV has no place for them
+            print(f"warning: {warning}", file=sys.stderr)
         sys.stdout.write("chi1,chi2,d1,d2,dimension\n")
         _write_batches(_batched(_csv_components(rows), ""), "")
         return

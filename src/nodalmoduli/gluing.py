@@ -102,27 +102,34 @@ _GUARD = 8
 def matrix_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over the rationals by fraction-free elimination on primitive rows.
 
+    This is the one entry into the elimination: GluingDatum takes k from
+    it, so a row of ints that GluingDatum keeps is type-checked here again.
     Each entry is converted once (ints and Fractions as they are, floats
     refused), and each row that is not all ints is scaled by the lcm of its
     denominators to integers.  Each row is divided by the gcd of its
-    entries; nonzero scaling does not change the rank.  The pivot is the
-    first nonzero entry of the column among the rows not yet used, its row
-    negated when that entry is negative.  A row with factor f in the pivot
-    column, against the pivot's lead m (both divided by their gcd), becomes
-    m*tail - f*pivot_tail; when m is 1, or the step is packed (below), that
-    is the whole update, and otherwise the row is then divided by the gcd
-    of its entries.  A row with a zero factor just drops that entry.  Rows
-    that become zero are dropped.  This is exact: a row c*G, for G the
-    Gaussian elimination row and c a nonzero scalar, becomes m*c*G', so a
-    unit step keeps c, a packed step multiplies it by m, and a list step
-    with m != 1 makes the row primitive again; zero patterns, pivots and
-    rank are those of Gaussian elimination.  An entry is c times a
-    Gaussian entry.  Requires a square matrix, which is left unchanged.
+    entries; nonzero scaling does not change the rank.  Columns get no such
+    content pass.  The pivot is the first nonzero entry of the column among
+    the rows not yet used, its row negated when that entry is negative.
+    A row with factor f in the pivot column, against the pivot's lead m
+    (both divided by their gcd), becomes m*tail - f*pivot_tail; when m is
+    1, or the step is packed (below), that is the whole update, and
+    otherwise the row is then divided by the gcd of its entries.  A row
+    with a zero factor just drops that entry.  Rows that become zero are
+    dropped.  This is exact: a row c*G, for G the Gaussian elimination row
+    and c a nonzero scalar, becomes m*c*G', so a unit step keeps c, a
+    packed step multiplies it by m, and a list step with m != 1 makes the
+    row primitive again; zero patterns, pivots and rank are those of
+    Gaussian elimination.  An entry is c times a Gaussian entry, a weaker
+    bound than that of a row made primitive at every step, whose entries
+    are never larger than Bareiss's minors.  Requires a square matrix,
+    which is left unchanged.
 
     The elimination runs in two phases, so storage changes at most once.
-    In the packed phase every row is one int (Kronecker substitution).  Let
-    b be the bit length of the largest entry of the primitive rows plus 8,
-    B = 2**b, and w = b + 1 + G with G = 8 guard bits.  A row whose entries
+    In the packed phase every row is one int, by Kronecker substitution
+    (Harvey, J. Symbolic Comput. 44(10), 2009; Fisher and Dietz, "Compiling
+    for SIMD within a register", LCPC 1998).  Let b be the bit length of
+    the largest entry of the primitive rows plus 8, B = 2**b, and
+    w = b + 1 + G with G = 8 guard bits.  A row whose entries
     e_j all lie in [-B, B) is stored as the one int
     y = sum((e_j + B) * 2**(w*j)): its base-2**w digits are the entries
     offset by B, in [0, 2B).  Its lead is (y & (2**w - 1)) - B, dropping
@@ -300,11 +307,12 @@ def parse_matrix(data: object) -> tuple[tuple[int, ...], ...]:
     denominators written in it.  Scaling a row by a nonzero number keeps the
     rank and the row space, and the rank is all that is read from sigma.
 
-    A row of strings is decoded whole: one match of the cell pattern over
-    the row joined by NULs (a NUL in a cell makes one separator too many),
-    then ``str.partition`` and ``int`` per cell.  A row that does not decode
-    so is decoded again cell by cell by ``parse_ratio``, which names its
-    first bad cell; that loop also takes a library caller's int cells.
+    No Fraction is built per cell.  A row of strings is decoded whole: one
+    match of the cell pattern over the row joined by NULs (a NUL in a cell
+    makes one separator too many), then ``str.partition`` and ``int`` per
+    cell.  A row that does not decode so is decoded again cell by cell by
+    ``parse_ratio``, which names its first bad cell; that loop also takes a
+    library caller's int cells.
     """
     if not isinstance(data, list) or not data:
         raise ValueError("matrix JSON must be a nonempty array of rows")

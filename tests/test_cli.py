@@ -10,7 +10,6 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from nodalmoduli.gluing import GluingDatum, matrix_rank
 from nodalmoduli.moduli import enumerate_components
 from nodalmoduli.rationals import format_rational, short_repr
 from nodalmoduli.stability import StabilityHypotheses, check_sufficiency
+from by_path import mutant
 from test_gluing import _rank_t_core, _scaled_matrix
 from oracles import DEFAULT_DIGIT_LIMIT, needs_default_digit_limit
 from golden_cases import CASES, DIGIT_LIMIT_CASES, GOLDEN, compared
@@ -575,17 +575,6 @@ def _layout_calls(module, fmt) -> int:
     return calls[0]
 
 
-def _cli_mutant(old: str, new: str):
-    """cli with the one occurrence of old replaced by new, compiled as its
-    own module of the package."""
-    source = Path(cli.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    module = types.ModuleType("nodalmoduli._cli_mutant")
-    module.__package__ = "nodalmoduli"
-    exec(compile(source.replace(old, new), cli.__file__, "exec"), module.__dict__)
-    return module
-
-
 class TestShapesLaidOutOnce:
     def test_the_box_has_several_hundred_runs_of_every_shape(self):
         runs = list(region_runs(*SHAPE_BOX))
@@ -600,8 +589,8 @@ class TestShapesLaidOutOnce:
     @pytest.mark.parametrize("fmt", LAYOUTS)
     def test_negative_control_shape_table_per_run_exceeds_the_count(self, fmt):
         loop = "    for chi1, first, last, bounds, step in runs:\n"
-        mutant = _cli_mutant(loop, loop + "        shapes = _shapes(layout)\n")
-        assert _layout_calls(mutant, fmt) > 5
+        module = mutant(cli, (loop, loop + "        shapes = _shapes(layout)\n"))
+        assert _layout_calls(module, fmt) > 5
 
 
 def _printed_ints(boxes) -> dict:
@@ -666,7 +655,7 @@ class TestIntTexts:
     def test_negative_control_broken_table_or_guard_changes_the_bytes(
         self, capsys, monkeypatch, fmt, edit
     ):
-        monkeypatch.setattr(cli, "_run_text", _cli_mutant(*edit)._run_text)
+        monkeypatch.setattr(cli, "_run_text", mutant(cli, edit)._run_text)
         assert _first_mismatch(capsys, TABLE_EDGE_BOXES, fmt) is not None
 
 
@@ -717,6 +706,12 @@ def test_closed_pipe_ends_quietly():
     assert code == 1
 
 
+NON_GENERIC = (
+    "non-generic polarization: window boundaries are integers, "
+    "both boundary values included"
+)
+
+
 def whole_components_output(g1, g2, r, chi, w1, fmt):
     """The components output built from enumerate_components with every
     record in memory: one json.dumps document, or every CSV row."""
@@ -727,12 +722,7 @@ def whole_components_output(g1, g2, r, chi, w1, fmt):
             f"{rec.chi1},{rec.chi2},{rec.d1},{rec.d2},{rec.dimension}" for rec in records
         ]
         return "".join(line + "\n" for line in lines)
-    warnings = []
-    if (chi * w1).denominator == 1:
-        warnings.append(
-            "non-generic polarization: window boundaries are integers, "
-            "both boundary values included"
-        )
+    warnings = [NON_GENERIC] if (chi * w1).denominator == 1 else []
     doc = {
         "command": "components",
         "inputs": {
@@ -771,7 +761,7 @@ class TestComponentsStreaming:
         cases = list(_seeded_component_cases(200))
         non_generic = 0
         for g1, g2, r, chi, w1 in cases:
-            code, out, _ = run(
+            code, out, err = run(
                 capsys, "components", "--g1", str(g1), "--g2", str(g2), "--r", str(r),
                 "--chi", str(chi), "--w1", format_rational(w1), "--format", fmt,
             )
@@ -779,7 +769,10 @@ class TestComponentsStreaming:
             assert out == whole_components_output(g1, g2, r, chi, w1, fmt), (
                 g1, g2, r, chi, w1,
             )
-            non_generic += (chi * w1).denominator == 1
+            generic = (chi * w1).denominator != 1
+            # CSV carries the JSON form's warning on stderr.
+            assert err == ("" if generic or fmt == "json" else f"warning: {NON_GENERIC}\n")
+            non_generic += not generic
         assert 40 < non_generic < len(cases) - 40
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])

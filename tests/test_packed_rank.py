@@ -13,19 +13,18 @@ their own, for the negative controls.
 
 import random
 import sys
-import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from by_path import mutant
 from nodalmoduli import gluing
 from oracles import list_matrix_rank
 from test_gluing import _known_rank_cases, _rank_t_core, _zero_factor_cases
 
-SOURCE = Path(gluing.__file__).read_text(encoding="utf-8")
-SOURCE_LINES = SOURCE.splitlines()
+SOURCE_LINES = Path(gluing.__file__).read_text(encoding="utf-8").splitlines()
 WIDE = 1 << gluing._GUARD
 
 PATHS = (
@@ -127,19 +126,6 @@ def _traced_rank(module, matrix) -> tuple[int, Counter]:
     finally:
         sys.settrace(before)
     return rank, counts
-
-
-def _mutant(*edits: tuple[str, str]) -> types.ModuleType:
-    """gluing with each (old, new) line edit made once, compiled as its own
-    module of the package."""
-    source = SOURCE
-    for old, new in edits:
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
-    module = types.ModuleType("nodalmoduli._packed_rank_mutant")
-    module.__package__ = "nodalmoduli"
-    exec(compile(source, gluing.__file__, "exec"), module.__dict__)
-    return module
 
 
 def _ldu(rng: random.Random, n: int, t: int, spread: int) -> list[list[int]]:
@@ -274,7 +260,7 @@ def _first_disagreement(module) -> str | None:
 )
 def test_negative_control_broken_packed_kernel_disagrees(edits):
     assert _first_disagreement(gluing) is None
-    assert _first_disagreement(_mutant(*edits)) is not None
+    assert _first_disagreement(mutant(gluing, *edits)) is not None
 
 
 # The packed-path guard: on cores whose Gaussian pivots are all +-1, every
@@ -298,7 +284,7 @@ def test_unit_cores_stay_packed(matrix, rank):
 
 def test_negative_control_list_only_kernel_breaks_the_guard():
     # A kernel that hands every matrix off at its first updated row.
-    module = _mutant(("if m + abs(f) > wide or u & high:", "if True:"))
+    module = mutant(gluing, ("if m + abs(f) > wide or u & high:", "if True:"))
     matrix, rank = GUARD_CASES[-1]
     got, counts = _traced_rank(module, matrix)
     assert got == rank
@@ -333,5 +319,5 @@ def test_rows_are_packed_once(monkeypatch):
 
 def test_negative_control_repacking_kernel_breaks_the_one_way_guard(monkeypatch):
     # A kernel that packs a list unit step's result again.
-    module = _mutant((LIST_UNIT, LIST_UNIT + "\n                _pack(rows[i], 1)"))
+    module = mutant(gluing, (LIST_UNIT, LIST_UNIT + "\n                _pack(rows[i], 1)"))
     assert _over_one_pack(module, monkeypatch) != []
