@@ -1,11 +1,17 @@
 """The golden corpus of the CLI and its one runner, ``run``.
 
 ``tests/golden/`` records what the CLI answers to each case of ``CASES``,
-byte for byte: the exit code, stdout in ``<name>.out`` and, for a usage
-error (exit code 2), stderr in ``<name>.err``.  A change that alters a file
-changes the CLI's observable behaviour.  Every runner of the corpus calls
-``run``.  This file imports no pytest, and the package only when a case
-runs, so ``tools/tier1_versions.py`` loads it by path on any interpreter.
+byte for byte: the exit code, stdout in ``<name>.out`` and stderr in
+``<name>.err``.  One rule holds for every case, whatever its exit code: a
+case without ``<name>.err`` records an empty stderr, so a stray stderr write
+fails its case.  A usage error (exit code 2) always has an ``.err``; so does
+a case that warns on stderr, such as ``components_non_generic_csv``.  A
+change that alters a file changes the CLI's observable behaviour, and is
+recorded in ``CHANGES.md``.  Every runner of the corpus calls ``run``:
+``tests/test_golden.py``, ``tests/test_cli.py`` (the whole corpus twice, on
+one cached parser), ``tools/tier1_versions.py`` and CI.  This file imports
+no pytest, and the package only when a case runs, so
+``tools/tier1_versions.py`` loads it by path on any interpreter.
 """
 
 import contextlib
@@ -395,10 +401,9 @@ def run(name: str) -> tuple[int, bytes, bytes]:
 
 
 def compared(name: str) -> tuple[tuple, tuple]:
-    """(what ``run`` gives, what the corpus records) for the case; stderr
-    is None in both unless the case records it."""
-    code, out, err = run(name)
-    want = CASES[name][1]
-    recorded = (GOLDEN / f"{name}.err").read_bytes() if want == 2 else None
-    got = (code, out, err if want == 2 else None)
-    return got, (want, (GOLDEN / f"{name}.out").read_bytes(), recorded)
+    """(what ``run`` gives, what the corpus records) for the case, each an
+    (exit code, stdout, stderr) triple compared by one rule: the recorded
+    stderr is ``<name>.err``, or empty when the case has no such file."""
+    err = GOLDEN / f"{name}.err"
+    recorded = err.read_bytes() if err.exists() else b""
+    return run(name), (CASES[name][1], (GOLDEN / f"{name}.out").read_bytes(), recorded)

@@ -6,7 +6,8 @@ that path is paid for by every invocation.  ``dataclasses`` alone pulls in
 classes, and this suite fails if either module comes back.  Annotations take
 their abstract types from ``collections.abc``, not ``typing``; ``site`` may
 import ``typing`` itself (through a ``.pth`` file), so that probe runs under
-``python -S``.
+``python -S``.  To see what the import loads and what each module costs,
+run ``PYTHONPATH=src python -X importtime -c "import nodalmoduli.cli"``.
 """
 
 import os

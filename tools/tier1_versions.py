@@ -16,7 +16,9 @@ lifts the limit on the digits int() converts, and passes when exactly
 
 One line per PYTHON is printed, and the exit code is 1 when any fails.  A
 PYTHON that cannot run gets a FAIL line with the last line of its stderr,
-or "no output", and the next is checked.  ``--golden`` is the corpus run
+or "no output", and the next is checked.  Each PYTHON must be a real
+executable: a pyenv shim such as ``python3.10`` fails unless its version
+is active.  ``--golden`` is the corpus run
 itself, which prints the failing cases as JSON.  Only the standard library
 is needed.
 """
