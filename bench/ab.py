@@ -2,12 +2,13 @@
 
     python3 bench/ab.py LAYER A_SRC B_SRC [SEED]
 
-LAYER is ``matrix_rank``, ``parse_matrix`` or ``region_layout``.  A_SRC and
-B_SRC are the ``src`` directories of two checkouts (the same one twice
-gives the noise floor).  Each tree's package is loaded under its own name,
-so both run in one process on the same inputs.  SEED (default 1) fixes the
-inputs.  ``LAYERS`` maps each layer to its classes and the function it
-times, so a new layer is one more entry there.  The layers:
+LAYER is ``matrix_rank``, ``parse_matrix``, ``region_layout`` or
+``check_sufficiency``.  A_SRC and B_SRC are the ``src`` directories of two
+checkouts (the same one twice gives the noise floor).  Each tree's package
+is loaded under its own name, so both run in one process on the same
+inputs.  SEED (default 1) fixes the inputs.  ``LAYERS`` maps each layer to
+its classes and the function it times, so a new layer is one more entry
+there.  The layers:
 
 - ``matrix_rank``: ``gluing.matrix_rank`` on matrices;
 - ``parse_matrix``: ``gluing.parse_matrix`` on matrices of cells as
@@ -15,7 +16,11 @@ times, so a new layer is one more entry there.  The layers:
   the ``glue`` command hands them over;
 - ``region_layout``: the region writer, ``cli._laid_out`` over
   ``feasibility.region_runs``, on boxes; a sample is one box's cell text,
-  as the ``region`` command writes it between its header and its footer.
+  as the ``region`` command writes it between its header and its footer;
+- ``check_sufficiency``: ``stability.check_sufficiency`` on feasible data
+  at the sample weight of ``feasibility.feasible_interval``, non-strict or
+  strict; the hypotheses and the weight are built once per datum, on the
+  check before the timing, so a sample times the sweep alone.
 
 The classes of ``matrix_rank`` are:
 
@@ -63,6 +68,16 @@ The classes of ``region_layout`` hold one box each:
   closed ends and print every chi2, numerator and denominator at 1,024 or
   more, past the writer's table of int texts, so they are all formatted.
 
+The classes of ``check_sufficiency`` hold (datum, strict) pairs, an
+``inputs.Datum`` and a mode:
+
+- ``r4``, ``r8`` and ``r16``: the data of that r among the first
+  ``3 * inputs.CLASS_DECK`` requests of ``perfbench/inputs.classify_requests``,
+  one deck per r, less the deck's one infeasible datum, so 23 each;
+- ``r32``: the first ``R32`` feasible data of ``classify_requests`` with its
+  ranks set to (32,);
+- ``r<r>``, non-strict, and ``r<r>-strict``, strict, hold the same data.
+
 Before a class is timed, both trees run on each of its inputs, and the
 script stops if they return different results.  Then the trees run in the
 order A B B A, ROUNDS times; one sample is the time of one pass over the
@@ -75,6 +90,7 @@ and both commits.  It needs only the standard library.
 
 from __future__ import annotations
 
+import functools
 import gc
 import importlib
 import importlib.util
@@ -89,6 +105,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -103,6 +120,9 @@ LATER = 400
 NARROW = (4, 2, (-5000, 5000), (0, 7))
 TALL = (3, 2, (-50000, 49999), (0, 0))
 FAR = (3, 2, (2_000_000, 2_000_299), (1_100, 1_399))
+
+# Feasible data in check_sufficiency's r32 class.
+R32 = 3
 
 
 def load(src: str, name: str):
@@ -255,11 +275,48 @@ def laid_out(cli):
     return text
 
 
+def feasible(datum) -> bool:
+    """Whether perfbench's own oracle finds the datum feasible."""
+    return inputs.oracle.interval(datum.r, datum.k, datum.chi1, datum.chi2)[0]
+
+
+def sufficiency_classes(seed: int) -> dict[str, list]:
+    """check_sufficiency's class name -> its (datum, strict) pairs, the same
+    for a given seed."""
+    requests = itertools.islice(inputs.classify_requests(seed), 3 * inputs.CLASS_DECK)
+    by_r = {f"r{r}": [] for r in inputs.CLASSIFY_RANKS}
+    for datum in filter(feasible, requests):
+        by_r[f"r{datum.r}"].append(datum)
+    with mock.patch.object(inputs, "CLASSIFY_RANKS", (32,)):
+        by_r["r32"] = list(itertools.islice(filter(feasible, inputs.classify_requests(seed)), R32))
+    out = {}
+    for name, data in by_r.items():
+        out[name] = [(datum, False) for datum in data]
+        out[f"{name}-strict"] = [(datum, True) for datum in data]
+    return out
+
+
+def sufficiency(package):
+    """The function from a (datum, strict) pair to package's
+    check_sufficiency answer for it, at the datum's sample weight."""
+    @functools.cache
+    def built(datum):
+        report = package.feasibility.feasible_interval(datum.r, datum.k, datum.chi1, datum.chi2)
+        return package.stability.StabilityHypotheses(*datum), report.sample
+
+    def check(case):
+        datum, strict = case
+        return package.stability.check_sufficiency(*built(datum), strict=strict)
+
+    return check
+
+
 # Layer -> (its classes for a seed, the function it times in a package).
 LAYERS = {
     "matrix_rank": (rank_classes, lambda package: package.gluing.matrix_rank),
     "parse_matrix": (parse_classes, lambda package: package.gluing.parse_matrix),
     "region_layout": (region_classes, lambda package: laid_out(package.cli)),
+    "check_sufficiency": (sufficiency_classes, sufficiency),
 }
 
 

@@ -130,18 +130,23 @@ def check_sufficiency(
     degrees; the slope is monotone in the degrees, so the extremal pair
     dominates all smaller ones.  In strict mode the comparison is strict,
     restricted to proper shapes ((s1, s2) = (r, r) excluded), under the
-    stability upgrade of the component hypotheses.
+    stability upgrade of the component hypotheses.  Each shape is compared
+    in integers, with no ``Fraction`` and no record made per shape: write
+    w1 = p/q with q > 0, chi = chi1 + chi2 - r and chi(F) as in
+    :func:`subsheaf_slope`; the shape's slope chi(F) / (w1 s1 + w2 s2) beats
+    chi/r exactly when
 
-    Returns (holds, witness); the witness is the first violating invariant.
+        r q chi(F) - chi (p s1 + (q - p) s2) > 0    (>= 0 when strict),
 
-    Past the compatibility check the search finds no witness.  Write
-    w1 = p/q with q > 0, and chi = chi1 + chi2 - r.  As w1 s1 + w2 s2 > 0, a
-    shape (s, s1, s2) with degrees (M1, M2) beats chi/r exactly when
+    the two slopes cross-multiplied by their positive denominators.
 
-        A(s1) + B(s2) + r q s > 0    (>= 0 when strict),
+    Returns (holds, witness); the witness is the first violating invariant,
+    the only :class:`SubsheafInvariant` built.
 
-    where A(s1) = r q (M1 + s1 (1 - g1)) - chi p s1 and
-    B(s2) = r q (M2 + s2 (1 - g2)) - chi (q - p) s2, an absent side
+    Past the compatibility check the search finds no witness.  At a shape
+    (s, s1, s2) with degrees (M1, M2) the left side above is
+    A(s1) + B(s2) + r q s, where A(s1) = r q (M1 + s1 (1 - g1)) - chi p s1
+    and B(s2) = r q (M2 + s2 (1 - g2)) - chi (q - p) s2, an absent side
     counting 0.  Bound each floor of :func:`max_degree_bounds` by its
     argument: r M1 <= s1 (d1 - k) and r M2 <= s2 (d2 - 2r).  With
     di = chii - r (1 - gi), g1 and g2 cancel, leaving
@@ -162,7 +167,7 @@ def check_sufficiency(
             f"polarization violates compatibility: {violated[0]}", violated
         )
     # The glued sheaf has rank (r, r) and w1 + w2 = 1, so its slope is chi/r.
-    ambient = Fraction(datum.chi, h.r)
+    chi, p, q = datum.chi, w.w1.numerator, w.w1.denominator
     for s in range(0, h.k + 1):
         for s1 in range(s, h.r + 1):
             for s2 in range(s, h.r + 1):
@@ -172,10 +177,11 @@ def check_sufficiency(
                     continue
                 max1, max2 = max_degree_bounds((s, s1, s2), h, strict=strict)
                 # An absent side (bound None) has kernel degree 0 by convention.
-                f = SubsheafInvariant(s, s1, s2, max1 or 0, max2 or 0)
-                slope = subsheaf_slope(f, h, w)
-                if slope > ambient or (strict and slope == ambient):
-                    return False, f
+                deg1, deg2 = max1 or 0, max2 or 0
+                chi_f = deg1 + s1 * (1 - h.g1) + deg2 + s2 * (1 - h.g2) + s
+                excess = h.r * q * chi_f - chi * (p * s1 + (q - p) * s2)
+                if excess > 0 or (strict and excess == 0):
+                    return False, SubsheafInvariant(s, s1, s2, deg1, deg2)
     return True, None
 
 

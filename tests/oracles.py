@@ -15,7 +15,10 @@ The skip mark ``needs_default_digit_limit`` and its condition
 ``cellwise_parse_matrix``, the cell-by-cell matrix decode that
 ``gluing.parse_matrix``'s whole-row decode is checked against, and
 ``list_matrix_rank``, the elimination on lists of ints that
-``gluing.matrix_rank``'s packed rows are checked against.
+``gluing.matrix_rank``'s packed rows are checked against, and
+``fraction_sufficiency``, the sufficiency sweep with a ``Fraction`` slope
+per shape that ``stability.check_sufficiency``'s integer test is checked
+against.
 """
 
 import math
@@ -26,6 +29,7 @@ from fractions import Fraction
 import pytest
 
 from nodalmoduli.rationals import RationalInterval, exact, short_repr
+from nodalmoduli.stability import SubsheafInvariant, max_degree_bounds, subsheaf_slope
 
 # The digit-limit cases pin what the interpreter's default limit of 4,300
 # digits on int() of a string refuses.  Python 3.10.0-3.10.6 have no limit,
@@ -192,6 +196,33 @@ def windowed_sufficiency(h, w1, window: int, strict: bool = False):
                         lhs, rhs = q * chi_f * r, chi * weighted
                         if lhs > rhs or (strict and lhs == rhs):
                             return False, (s, s1, s2, deg1, deg2)
+    return True, None
+
+
+def fraction_sufficiency(h, w, strict: bool = False):
+    """Reference for ``stability.check_sufficiency`` past its compatibility
+    gate, which it does not apply: the same lexicographic sweep of shapes at
+    their extremal degrees, each built as a ``SubsheafInvariant`` and its
+    ``subsheaf_slope`` compared with the ambient slope chi / r as a
+    ``Fraction``.
+
+    Returns (holds, witness) with witness the first violating invariant, or
+    None.
+    """
+    ambient = Fraction(h.gluing().chi, h.r)
+    for s in range(0, h.k + 1):
+        for s1 in range(s, h.r + 1):
+            for s2 in range(s, h.r + 1):
+                if s1 == 0 and s2 == 0:
+                    continue
+                if strict and (s1, s2) == (h.r, h.r):
+                    continue
+                max1, max2 = max_degree_bounds((s, s1, s2), h, strict=strict)
+                # An absent side (bound None) has kernel degree 0 by convention.
+                f = SubsheafInvariant(s, s1, s2, max1 or 0, max2 or 0)
+                slope = subsheaf_slope(f, h, w)
+                if slope > ambient or (strict and slope == ambient):
+                    return False, f
     return True, None
 
 

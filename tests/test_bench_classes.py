@@ -11,15 +11,21 @@ prints its table fails this suite instead of the next A/B run:
   ``oracles.cellwise_parse_matrix``;
 - ``region_layout``: every class builds, the narrow, tall and far boxes'
   text is the whole-box reference of ``test_cli.whole_box_output``, and the
-  far box prints no int that the writer reads from its table.
+  far box prints no int that the writer reads from its table;
+- ``check_sufficiency``: every class holds feasible data of its r in its
+  mode, and ``check_sufficiency`` answers each as the ``Fraction`` sweep
+  ``oracles.fraction_sufficiency`` does.
 """
 
 import pytest
 
+import nodalmoduli
 from by_path import ROOT, load_by_path
 from nodalmoduli import cli
+from nodalmoduli.feasibility import feasible_interval
 from nodalmoduli.gluing import matrix_rank, parse_matrix
-from oracles import cellwise_parse_matrix, list_matrix_rank
+from nodalmoduli.stability import StabilityHypotheses
+from oracles import cellwise_parse_matrix, fraction_sufficiency, list_matrix_rank
 from test_cli import _printed_ints, whole_box_output
 
 AB = load_by_path(ROOT / "bench" / "ab.py", "bench_ab")
@@ -31,6 +37,7 @@ SLOW = {"dense16-50d"}
 CLASSES = AB.rank_classes(1)
 PARSE_CLASSES = AB.parse_classes(1)
 REGION_CLASSES = AB.region_classes(1)
+SUFFICIENCY_CLASSES = AB.sufficiency_classes(1)
 
 
 def test_slow_classes_are_still_built():
@@ -106,8 +113,37 @@ def test_far_box_prints_every_int_past_the_table():
     assert min(abs(x) for ints in printed.values() for x in ints) >= cli._TEXTS_N
 
 
+def test_sufficiency_classes_hold_feasible_data_of_their_rank_and_mode():
+    assert list(SUFFICIENCY_CLASSES) == [
+        f"r{r}{mode}" for r in (4, 8, 16, 32) for mode in ("", "-strict")
+    ]
+    for name, cases in SUFFICIENCY_CLASSES.items():
+        r, _, mode = name[1:].partition("-")
+        assert len(cases) == (AB.R32 if r == "32" else 23), name
+        for datum, strict in cases:
+            assert datum.r == int(r) and strict == (mode == "strict"), name
+            assert feasible_interval(datum.r, datum.k, datum.chi1, datum.chi2).feasible
+    requests = AB.inputs.classify_requests(1)
+    firsts = [next(requests) for _ in range(3 * AB.inputs.CLASS_DECK)]
+    for r in AB.inputs.CLASSIFY_RANKS:
+        assert [d for d, _ in SUFFICIENCY_CLASSES[f"r{r}"]] == [
+            d for d in firsts if d.r == r and AB.feasible(d)
+        ]
+
+
+@pytest.mark.parametrize("name", SUFFICIENCY_CLASSES)
+def test_sufficiency_classes_match_the_fraction_sweep(name):
+    check = AB.sufficiency(nodalmoduli)
+    for datum, strict in SUFFICIENCY_CLASSES[name]:
+        h = StabilityHypotheses(*datum)
+        w = feasible_interval(datum.r, datum.k, datum.chi1, datum.chi2).sample
+        assert check((datum, strict)) == fraction_sufficiency(h, w, strict), datum
+
+
 def test_every_layer_names_its_classes_and_a_function_of_the_package():
-    assert list(AB.LAYERS) == ["matrix_rank", "parse_matrix", "region_layout"]
+    assert list(AB.LAYERS) == [
+        "matrix_rank", "parse_matrix", "region_layout", "check_sufficiency",
+    ]
     package = AB.load(str(ROOT / "src"), "nodalmoduli_bench_test")
     timed = {layer: fn(package) for layer, (_, fn) in AB.LAYERS.items()}
     assert timed["matrix_rank"] is package.gluing.matrix_rank
@@ -115,6 +151,8 @@ def test_every_layer_names_its_classes_and_a_function_of_the_package():
     (box,) = REGION_CLASSES["narrow-csv"]
     box = box._replace(chi1=(0, 1))
     assert timed["region_layout"](box) == AB.laid_out(cli)(box)
+    case = SUFFICIENCY_CLASSES["r4-strict"][0]
+    assert timed["check_sufficiency"](case) == AB.sufficiency(nodalmoduli)(case) == (True, None)
 
 
 def test_compare_prints_the_header_and_one_row_per_class(capsys, tmp_path):

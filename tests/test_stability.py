@@ -17,7 +17,8 @@ from nodalmoduli.stability import (
     nonstable_locus_codim_bound,
     subsheaf_slope,
 )
-from oracles import fraction_degree_bounds, windowed_sufficiency
+from by_path import mutant
+from oracles import fraction_degree_bounds, fraction_sufficiency, windowed_sufficiency
 
 HALF = Polarization(Fraction(1, 2), Fraction(1, 2))
 
@@ -344,3 +345,71 @@ class TestGateBypassed:
                             assert not (strict and (s1, s2) == (r, r))
                             witnesses += 1
         assert witnesses > 100
+
+
+def _random_hypotheses(rng: random.Random) -> StabilityHypotheses:
+    """Random data, feasible or not: r in 2..6, any k, chi1 and chi2 in
+    [-r, 2r], genera in 1..r+3."""
+    r = rng.randint(2, 6)
+    return StabilityHypotheses(
+        r,
+        rng.randint(1, r),
+        rng.randint(-r, 2 * r),
+        rng.randint(-r, 2 * r),
+        rng.randint(1, r + 3),
+        rng.randint(1, r + 3),
+    )
+
+
+def _random_cases(rng: random.Random, n: int):
+    return [(_random_hypotheses(rng), _random_polarization(rng)) for _ in range(n)]
+
+
+class TestFractionReference:
+    """The integer test per shape against ``oracles.fraction_sufficiency``,
+    which compares a ``Fraction`` slope per shape, in both modes and with
+    the compatibility gate switched off, so witnesses occur."""
+
+    CASES = _random_cases(random.Random(2027), 300)
+
+    @staticmethod
+    def _answers(module, monkeypatch):
+        """(module's answer, the reference's) per case and mode, the
+        witnesses as tuples, with module's gate switched off."""
+        monkeypatch.setattr(module, "violated_conditions", lambda u, w: [])
+        for h, w in TestFractionReference.CASES:
+            for strict in (False, True):
+                holds, witness = module.check_sufficiency(h, w, strict=strict)
+                want, want_witness = fraction_sufficiency(h, w, strict)
+                yield (holds, _as_tuple(witness)), (want, _as_tuple(want_witness))
+
+    def test_matches_fraction_sweep_on_random_data(self, monkeypatch):
+        answers = list(self._answers(stability, monkeypatch))
+        assert all(got == want for got, want in answers)
+        verdicts = [holds for (holds, _), _ in answers]
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+    @pytest.mark.parametrize("r", [16, 32])
+    def test_matches_fraction_sweep_at_large_rank(self, monkeypatch, r):
+        # chi = r/2 + 10 and the w1-window is [5/chi, (r/2 + 5)/chi]: w1 = 1/2
+        # is compatible and sweeps every shape; w1 = 1/20 is not, and a
+        # first-side shape (0, s1, 0) beats the ambient slope.
+        monkeypatch.setattr(stability, "violated_conditions", lambda u, w: [])
+        h = StabilityHypotheses(r, r // 2, r // 2 + 5, r + 5, r + 2, r + 2)
+        for w1, holds in ((Fraction(1, 2), True), (Fraction(1, 20), False)):
+            w = Polarization.from_w1(w1)
+            for strict in (False, True):
+                got, witness = check_sufficiency(h, w, strict=strict)
+                want, want_witness = fraction_sufficiency(h, w, strict)
+                assert (got, _as_tuple(witness)) == (want, _as_tuple(want_witness))
+                assert got is holds and (holds or witness.s2 == 0)
+
+    def test_negative_control_dropped_strict_tie_is_caught(self, monkeypatch):
+        # A shape whose slope equals chi/r is a strict witness; without the
+        # tie the integer test must disagree with the reference.
+        dropped = mutant(
+            stability,
+            ("if excess > 0 or (strict and excess == 0):", "if excess > 0:"),
+        )
+        answers = self._answers(dropped, monkeypatch)
+        assert any(got != want for got, want in answers)
